@@ -6,6 +6,12 @@
 //! specific hardware will make the *compute* portion shrink and bring
 //! communication (and hence their method) back to the fore.
 //!
+//! Two executed checks follow the analytic sweep, both on the one
+//! overlap engine (`train_1p5d_scheduled`): the measured fraction of
+//! its legacy FIFO plan (`OverlapPlan::legacy()`) against the paper's
+//! 2/3, and a bucket-size sweep of its default plan next to the
+//! autotuner's pick.
+//!
 //! ```text
 //! cargo run -p bench --bin ablation_overlap
 //! ```
@@ -16,7 +22,7 @@ use dnn::zoo::mlp;
 use integrated::optimizer::sweep_conv_batch_fc_grids;
 use integrated::overlap::{autotune, overlapped_total, OverlapPlan, PAPER_BACKPROP_FRACTION};
 use integrated::report::{fmt_seconds, fmt_speedup, Table};
-use integrated::trainer::{synthetic_data, train_1p5d_overlap, train_1p5d_scheduled, TrainConfig};
+use integrated::trainer::{synthetic_data, train_1p5d_scheduled, TrainConfig};
 use mpsim::NetModel;
 
 fn main() {
@@ -64,7 +70,7 @@ fn main() {
     // executed trainer measures it as hidden/(hidden + exposed) channel
     // time — the share of the non-blocking transfers that compute
     // actually covered (blocking collectives never enter the ratio).
-    // Run the bucketed non-blocking ∆W path on an FC proxy (the
+    // Run the overlap engine's legacy FIFO plan on an FC proxy (the
     // analytic AlexNet at P = 512 is too big to execute here) and
     // compare with the paper's assumed 2/3.
     let net = mlp("alexnet-fc-proxy", &[1152, 512, 512, 10]);
@@ -74,7 +80,16 @@ fn main() {
         iters: 2,
         seed: 11,
     };
-    let ovl = train_1p5d_overlap(&net, &x, &labels, &cfg, 4, 4, NetModel::cori_knl());
+    let ovl = train_1p5d_scheduled(
+        &net,
+        &x,
+        &labels,
+        &cfg,
+        4,
+        4,
+        NetModel::cori_knl(),
+        OverlapPlan::legacy(),
+    );
     let frac = ovl.measured_overlap_fraction();
     let divergence = (frac - PAPER_BACKPROP_FRACTION).abs() / PAPER_BACKPROP_FRACTION;
     println!(

@@ -2,11 +2,11 @@
 //! `fig8` applies the paper's closed-form "2/3 of communication hides
 //! behind backprop" to the analytic Fig. 7 times, this binary runs the
 //! same SGD iterations on the simulated cluster three ways — blocking
-//! per-layer ∆W all-reduces (`train_1p5d`), the legacy FIFO bucket
-//! drain (`train_1p5d_overlap`), and the priority-scheduled engine
-//! with cross-iteration optimizer interleave
-//! (`train_1p5d_scheduled`) — and reports the makespans actually
-//! achieved next to the analytic `overlapped_total` bounds.
+//! per-layer ∆W all-reduces (`train_1p5d`), and the overlap engine
+//! `train_1p5d_scheduled` under two plans: the legacy FIFO bucket drain
+//! (`OverlapPlan::legacy()`) and the default priority schedule with
+//! cross-iteration optimizer interleave — and reports the makespans
+//! actually achieved next to the analytic `overlapped_total` bounds.
 //!
 //! The network is an FC stack in the spirit of the Table 1 AlexNet
 //! tail at reduced scale (the trainer executes fully-connected layers;
@@ -47,9 +47,7 @@ use bench::parse_args;
 use dnn::zoo::mlp;
 use integrated::overlap::{autotune, overlapped_total, OverlapPlan, PAPER_BACKPROP_FRACTION};
 use integrated::report::{fmt_seconds, Table};
-use integrated::trainer::{
-    synthetic_data, train_1p5d, train_1p5d_overlap, train_1p5d_scheduled, TrainConfig,
-};
+use integrated::trainer::{synthetic_data, train_1p5d, train_1p5d_scheduled, TrainConfig};
 use mpsim::NetModel;
 
 struct Row {
@@ -128,7 +126,16 @@ fn main() {
             }
             let pc = p / pr;
             let ser = train_1p5d(&net, &x, &labels, &cfg, pr, pc, model);
-            let leg = train_1p5d_overlap(&net, &x, &labels, &cfg, pr, pc, model);
+            let leg = train_1p5d_scheduled(
+                &net,
+                &x,
+                &labels,
+                &cfg,
+                pr,
+                pc,
+                model,
+                OverlapPlan::legacy(),
+            );
             let sch = train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, model, plan);
             let t_ser = ser.stats.makespan();
             let t_leg = leg.stats.makespan();

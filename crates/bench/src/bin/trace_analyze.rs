@@ -26,9 +26,10 @@ use std::collections::BTreeMap;
 
 use bench::parse_args;
 use dnn::zoo::mlp;
+use integrated::overlap::OverlapPlan;
 use integrated::report::Table;
 use integrated::trainer::{
-    synthetic_data, train_1p5d_overlap_traced, train_1p5d_traced, TrainConfig,
+    synthetic_data, train_1p5d_scheduled_traced, train_1p5d_traced, TrainConfig,
 };
 use mpsim::{NetModel, TraceConfig, TraceSink, WorldStats, WorldTrace};
 
@@ -201,17 +202,7 @@ fn main() {
     breakdown_table("blocking", &ser_trace, args.csv);
 
     // Bucketed non-blocking ∆W path: drains split into exposed + hidden.
-    let (ovl, ovl_trace) =
-        train_1p5d_overlap_traced(&net, &x, &labels, &cfg, pr, pc, model, trace_cfg);
-    bad += cross_check("overlap", &ovl_trace, &ovl.stats);
-    breakdown_table("overlap", &ovl_trace, args.csv);
-    critical_path("overlap", &ovl_trace, args.csv);
-
-    // Priority-scheduled engine: the new `sched` instants
-    // (bucket_flush / progress_poll) are zero-duration markers outside
-    // the leaf partition, so the same 1e-9 reconstruction must hold
-    // with them present in the stream.
-    let (sch, sch_trace) = integrated::trainer::train_1p5d_scheduled_traced(
+    let (ovl, ovl_trace) = train_1p5d_scheduled_traced(
         &net,
         &x,
         &labels,
@@ -220,7 +211,26 @@ fn main() {
         pc,
         model,
         trace_cfg,
-        integrated::overlap::OverlapPlan::default(),
+        OverlapPlan::legacy(),
+    );
+    bad += cross_check("overlap", &ovl_trace, &ovl.stats);
+    breakdown_table("overlap", &ovl_trace, args.csv);
+    critical_path("overlap", &ovl_trace, args.csv);
+
+    // Priority-scheduled engine: the new `sched` instants
+    // (bucket_flush / progress_poll) are zero-duration markers outside
+    // the leaf partition, so the same 1e-9 reconstruction must hold
+    // with them present in the stream.
+    let (sch, sch_trace) = train_1p5d_scheduled_traced(
+        &net,
+        &x,
+        &labels,
+        &cfg,
+        pr,
+        pc,
+        model,
+        trace_cfg,
+        OverlapPlan::default(),
     );
     bad += cross_check("scheduled", &sch_trace, &sch.stats);
     breakdown_table("scheduled", &sch_trace, args.csv);

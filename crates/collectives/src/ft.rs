@@ -152,18 +152,6 @@ impl FtConfig {
         }
     }
 
-    /// A single-attempt policy with a fixed bare-seconds deadline.
-    #[deprecated(
-        since = "0.2.0",
-        note = "derive deadlines from the network model instead: use \
-                `FtConfig::for_model` / `FtConfig::adaptive`, or \
-                `FtConfig::fixed` when a bare-seconds deadline is \
-                really wanted"
-    )]
-    pub fn new(timeout: f64) -> Self {
-        FtConfig::fixed(timeout)
-    }
-
     /// Sets the number of attempts per receive.
     pub fn with_attempts(mut self, attempts: usize) -> Self {
         assert!(attempts >= 1, "need at least one attempt");
@@ -642,12 +630,6 @@ mod tests {
             out[0]
         );
         assert!(out[1].is_ok(), "rank 1's own halo arrived: {:?}", out[1]);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_new_is_the_fixed_policy() {
-        assert_eq!(FtConfig::new(2.5), FtConfig::fixed(2.5));
     }
 
     #[test]

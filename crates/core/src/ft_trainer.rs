@@ -1,9 +1,14 @@
 //! Fault-tolerant 1.5D training: checkpoint / detect / shrink / replay.
 //!
-//! [`crate::trainer::train_1p5d`] assumes a reliable machine; this
-//! module wraps the same synchronous SGD in a recovery protocol so a
-//! [`FaultPlan`] — dropped messages, stragglers, flipped bits, rank
-//! deaths — degrades the run instead of hanging or corrupting it:
+//! [`crate::trainer::train_1p5d`] assumes a reliable machine. This
+//! module runs the same iteration body — [`crate::trainer`]'s shared
+//! forward and backward passes, over fault-tolerant ops
+//! ([`distmm::onep5d::OpCtx::Ft`]) — inside a recovery protocol, so a
+//! [`FaultPlan`] (dropped messages, stragglers, flipped bits, rank
+//! deaths) degrades the run instead of hanging or corrupting it. The
+//! iteration adds only what is fault-tolerance specific: a loss
+//! all-reduce that doubles as a liveness probe, a momentum optimizer
+//! step, and an overlap plan that drains within the iteration.
 //!
 //! 1. **Checkpointing.** Every `ckpt_every` iterations each rank
 //!    snapshots its weight (and momentum) shards; the last *two*
@@ -46,22 +51,17 @@ use mpsim::fault::checksum;
 use mpsim::{
     BitFlip, Communicator, Error, FaultCtx, FaultPlan, TraceConfig, World, WorldStats, WorldTrace,
 };
-use tensor::activation::softmax_xent;
 use tensor::ops::axpy;
 use tensor::Matrix;
 
 use distmm::dist::{col_shard, part_range, row_shard};
-use distmm::onep5d::{
-    backward_dw_deferred_sdc, backward_dx_overlap_sdc, backward_sdc, forward_resume_ft,
-    forward_sdc, forward_start_sdc, Grid, SdcCtx,
-};
-use tensor::matmul::{matmul, matmul_flops};
+use distmm::onep5d::{Grid, OpCtx, SdcCtx};
 
 use crate::cost::integrated_model_batch;
 use crate::machine::MachineModel;
-use crate::overlap::{FlushSchedule, OverlapPlan};
+use crate::overlap::OverlapPlan;
 use crate::trainer::{
-    act_backward, apply_act, extract_fc_layers, init_weights, BucketScheduler, FcLayer,
+    extract_fc_layers, init_weights, shard_loss, BucketScheduler, FcLayer, Iteration,
 };
 
 /// Configuration for a fault-tolerant training run.
@@ -69,9 +69,11 @@ use crate::trainer::{
 pub struct FtTrainConfig {
     /// SGD learning rate η.
     pub lr: f64,
-    /// Momentum μ (0 reproduces [`crate::trainer::train_1p5d`]'s plain
-    /// SGD; μ > 0 adds a velocity buffer that is checkpointed and
-    /// redistributed alongside the weights).
+    /// Momentum μ. 0 is the plain SGD step of the shared iteration
+    /// body, so a fault-free run reproduces
+    /// [`crate::trainer::train_1p5d`]. μ > 0 swaps in an optimizer step
+    /// with a velocity buffer, which is checkpointed and redistributed
+    /// alongside the weights.
     pub momentum: f64,
     /// Number of iterations over the full batch.
     pub iters: usize,
@@ -85,23 +87,22 @@ pub struct FtTrainConfig {
     /// Machine used both to drive the simulation (`net_model()`) and to
     /// re-plan the grid with Eq. 8 after a shrink.
     pub machine: MachineModel,
-    /// Overlap the ∆W all-reduces with the remaining backward compute
-    /// using the non-blocking collectives (the executed Fig. 8 path,
-    /// bucketed like [`crate::trainer::train_1p5d_overlap`]); chunk
-    /// receives stay deadline-bound and faults still abort group-wide,
-    /// so recovery semantics are unchanged. `false` reproduces the
-    /// fully blocking iteration.
+    /// Run the iteration through the overlap engine of
+    /// [`crate::trainer::train_1p5d_scheduled`] under [`Self::plan`]:
+    /// ∆W all-reduces are bucketed and overlap the remaining backward
+    /// compute (the executed Fig. 8 path). Chunk receives stay
+    /// deadline-bound and faults still abort group-wide, so recovery
+    /// semantics are unchanged. `false` runs the fully blocking
+    /// iteration.
     pub overlap: bool,
-    /// Scheduling plan for the overlapped path (ignored when `overlap`
-    /// is off): bucket fusion size, flush priority/polls, ∆X overlap,
-    /// and forward prefetch. Two knobs are constrained here relative
-    /// to [`crate::trainer::train_1p5d_scheduled`]:
+    /// Plan of the overlap engine (ignored when `overlap` is off):
+    /// bucket fusion size, flush priority/polls, ∆X overlap, and
+    /// forward prefetch. Two knobs are constrained here:
     /// [`OverlapPlan::interleave`] is ignored — the checkpoint/rollback
     /// protocol needs iteration-complete weights, so every bucket is
-    /// applied (per bucket, no barrier) before the iteration commits —
-    /// and [`OverlapPlan::fwd_prefetch`] is disabled under `abft`,
-    /// whose checksums verify whole products, not block-accumulated
-    /// ones.
+    /// applied before the iteration commits — and
+    /// [`OverlapPlan::fwd_prefetch`] is disabled under `abft`, whose
+    /// checksums verify whole products, not block-accumulated ones.
     pub plan: OverlapPlan,
     /// Defend against *silent* data corruption: every local GEMM output
     /// is ABFT checksum-verified (single-element errors repaired in
@@ -486,175 +487,58 @@ impl Checkpoint {
     }
 }
 
-/// One synchronous training iteration on the current grid with
-/// fault-tolerant collectives. Returns the *global* loss (identical on
-/// every rank of the grid). `iter` names the iteration for the SDC
-/// layer: scripted compute bit flips target `(rank, iter, op)` triples,
-/// and — with [`FtTrainConfig::abft`] — every local GEMM is
-/// checksum-verified under the same numbering.
-#[allow(clippy::too_many_arguments)]
+/// One synchronous training iteration on the current grid: the shared
+/// [`Iteration`] passes over fault-tolerant ops. Returns the *global*
+/// loss (identical on every rank of the grid). `st.iter` names the
+/// iteration for the SDC layer: scripted compute bit flips target
+/// `(rank, iter, op)` triples, and — with [`FtTrainConfig::abft`] —
+/// every local GEMM is checksum-verified under the same numbering.
 fn run_iteration(
-    grid: &Grid,
+    st: &mut GridState,
     layers: &[FcLayer],
-    w: &mut [Matrix],
-    v: &mut [Matrix],
-    x_local: &Matrix,
-    labels_local: &[usize],
     b_global: usize,
-    iter: u64,
     cfg: &FtTrainConfig,
 ) -> Result<f64, Error> {
-    let b_local = x_local.cols();
+    let (grid, w, v) = (&st.grid, &mut st.w, &mut st.v);
+    let iter = st.iter as u64;
     let sdc = SdcCtx::new(iter, cfg.abft);
-    // Forward. Prefetch (when enabled, overlapping, not under ABFT,
-    // and a column ring exists) pipelines each layer's all-gather
-    // behind per-block activation and the next layer's partial
-    // accumulation; chunk receives stay deadline-bound, so fault
-    // detection and group abort are unchanged. Note the accumulated
-    // partials of layers ≥ 1 are never one monolithic GEMM, so they
-    // carry no per-GEMM SDC injection/verification op — which is why
-    // ABFT forces this path off.
-    let prefetch = cfg.overlap && cfg.plan.fwd_prefetch && !cfg.abft && grid.pr > 1;
-    let mut inputs = vec![x_local.clone()];
-    let mut pres = Vec::with_capacity(layers.len());
-    {
-        let _fwd = grid.row_comm.trace_span("trainer", "forward", &[]);
-        if prefetch {
-            let mut pf = forward_start_sdc(grid, &w[0], x_local, &cfg.ft, &sdc)?;
-            for idx in 0..layers.len() {
-                let _layer =
-                    grid.row_comm
-                        .trace_span("trainer", "layer_fwd", &[("layer", idx as f64)]);
-                let next = idx + 1;
-                let l = &layers[idx];
-                let mut acc = if next < layers.len() {
-                    Some(Matrix::zeros(w[next].rows(), b_local))
-                } else {
-                    None
-                };
-                let mut pre_blocks: Vec<Option<Matrix>> = vec![None; grid.pr];
-                let mut post_blocks: Vec<Option<Matrix>> = vec![None; grid.pr];
-                while let Some((src, block)) = pf.next_block()? {
-                    let post = apply_act(l.act, &block);
-                    if let Some(acc) = acc.as_mut() {
-                        let crange = part_range(l.d_out, grid.pr, src);
-                        let wcols = w[next].col_block(crange.start, crange.end);
-                        grid.col_comm.advance_flops(matmul_flops(
-                            wcols.rows(),
-                            wcols.cols(),
-                            b_local,
-                        ));
-                        let prod = matmul(&wcols, &post);
-                        axpy(1.0, prod.as_slice(), acc.as_mut_slice());
-                    }
-                    pre_blocks[src] = Some(block);
-                    post_blocks[src] = Some(post);
-                }
-                let pre = Matrix::vcat(
-                    &pre_blocks
-                        .into_iter()
-                        .map(|m| m.expect("all blocks delivered"))
-                        .collect::<Vec<_>>(),
-                );
-                let post = Matrix::vcat(
-                    &post_blocks
-                        .into_iter()
-                        .map(|m| m.expect("all blocks delivered"))
-                        .collect::<Vec<_>>(),
-                );
-                pres.push(pre);
-                inputs.push(post);
-                if let Some(acc) = acc {
-                    pf = forward_resume_ft(grid, acc, &cfg.ft)?;
-                }
+    let step = Iteration {
+        grid,
+        layers,
+        ctx: OpCtx::Ft {
+            ft: &cfg.ft,
+            sdc: &sdc,
+        },
+        iter,
+    };
+    // Checkpoint/rollback needs iteration-complete weights, so buckets
+    // drain within the iteration; ABFT verifies whole products, so the
+    // block-accumulated prefetch partials are off under it.
+    let plan = cfg.overlap.then_some(OverlapPlan {
+        interleave: false,
+        fwd_prefetch: cfg.plan.fwd_prefetch && !cfg.abft,
+        ..cfg.plan
+    });
+    let mut sched = plan.map(|p| BucketScheduler::new(&grid.row_comm, p, Some(cfg.ft)));
+    let mut apply = |idx: usize, wi: &mut Matrix, g: &[f64]| {
+        if cfg.momentum != 0.0 {
+            for (vi, &gi) in v[idx].as_mut_slice().iter_mut().zip(g) {
+                *vi = cfg.momentum * *vi + gi;
             }
+            axpy(-cfg.lr, v[idx].as_slice(), wi.as_mut_slice());
         } else {
-            for (idx, (l, wl)) in layers.iter().zip(w.iter()).enumerate() {
-                let _layer =
-                    grid.row_comm
-                        .trace_span("trainer", "layer_fwd", &[("layer", idx as f64)]);
-                let pre = forward_sdc(grid, wl, inputs.last().expect("input"), &cfg.ft, &sdc)?;
-                let post = apply_act(l.act, &pre);
-                pres.push(pre);
-                inputs.push(post);
-            }
+            axpy(-cfg.lr, g, wi.as_mut_slice());
         }
-    }
-    let logits = inputs.last().expect("logits");
-    let (loss_local, mut grad) = softmax_xent(logits, labels_local);
-    let scale = b_local as f64 / b_global as f64;
-    for g in grad.as_mut_slice() {
-        *g *= scale;
-    }
+    };
+    let acts = step.forward(w, &st.x_local, sched.as_mut(), &mut apply)?;
+    let (loss, grad) = shard_loss(acts.logits(), &st.labels_local, b_global);
     // Global loss: the partials of one grid row sum to the global loss
     // (rows hold replicas), so a one-word all-reduce over the row group
     // gives every rank the same number — and doubles as a per-iteration
     // liveness probe of the row group.
-    let mut lbuf = [loss_local * scale];
+    let mut lbuf = [loss];
     allreduce_ring_ft(&grid.row_comm, &mut lbuf, ReduceOp::Sum, &cfg.ft)?;
-    // Backward.
-    let _bwd = grid.row_comm.trace_span("trainer", "backward", &[]);
-    let mut dy = grad;
-    if cfg.overlap {
-        // Executed overlap: ∆W partials are bucketed and their
-        // row-group sums launched non-blocking (deadline-bound chunk
-        // receives, group abort on faults) while backprop continues.
-        // Priority scheduling polls a chunk of the deepest in-flight
-        // bucket after each layer; the drain stays within the
-        // iteration (launch order, applying per bucket as each wait
-        // completes) so the committed weights are always
-        // iteration-complete for checkpoint/rollback — the
-        // cross-iteration interleave knob is deliberately not honored
-        // here.
-        let mut sched = BucketScheduler::new(
-            &grid.row_comm,
-            cfg.plan.bucket_words,
-            Some(cfg.ft),
-            cfg.plan.schedule == FlushSchedule::Priority,
-        );
-        for (idx, l) in layers.iter().enumerate().rev() {
-            let _layer = grid
-                .row_comm
-                .trace_span("trainer", "layer_bwd", &[("layer", idx as f64)]);
-            dy = act_backward(l.act, &pres[idx], &inputs[idx + 1], &dy);
-            let (dw, dx) = if cfg.plan.dx_overlap {
-                backward_dx_overlap_sdc(grid, &w[idx], &inputs[idx], &dy, &cfg.ft, &sdc)?
-            } else {
-                backward_dw_deferred_sdc(grid, &w[idx], &inputs[idx], &dy, &cfg.ft, &sdc)?
-            };
-            sched.push(idx, &dw)?;
-            sched.poll()?;
-            dy = dx;
-        }
-        let _step = grid.row_comm.trace_span("trainer", "optimizer_step", &[]);
-        sched.drain_all(|idx, summed| {
-            if cfg.momentum != 0.0 {
-                for (vi, &di) in v[idx].as_mut_slice().iter_mut().zip(summed) {
-                    *vi = cfg.momentum * *vi + di;
-                }
-                axpy(-cfg.lr, v[idx].as_slice(), w[idx].as_mut_slice());
-            } else {
-                axpy(-cfg.lr, summed, w[idx].as_mut_slice());
-            }
-        })?;
-    } else {
-        for (idx, l) in layers.iter().enumerate().rev() {
-            let _layer = grid
-                .row_comm
-                .trace_span("trainer", "layer_bwd", &[("layer", idx as f64)]);
-            dy = act_backward(l.act, &pres[idx], &inputs[idx + 1], &dy);
-            let (dw, dx) = backward_sdc(grid, &w[idx], &inputs[idx], &dy, &cfg.ft, &sdc)?;
-            if cfg.momentum != 0.0 {
-                for (vi, di) in v[idx].as_mut_slice().iter_mut().zip(dw.as_slice()) {
-                    *vi = cfg.momentum * *vi + di;
-                }
-                axpy(-cfg.lr, v[idx].as_slice(), w[idx].as_mut_slice());
-            } else {
-                axpy(-cfg.lr, dw.as_slice(), w[idx].as_mut_slice());
-            }
-            dy = dx;
-        }
-    }
+    step.backward(w, &acts, grad, sched.as_mut(), true, &mut apply)?;
     Ok(lbuf[0])
 }
 
@@ -674,6 +558,43 @@ struct GridState {
     /// means a memory bit flip landed between iterations and escalates
     /// to rollback.
     wsum: u64,
+}
+
+impl GridState {
+    /// This rank's state on a `pr × pc` grid over `comm`: row shards of
+    /// the full weights and momentum (zeros when `full_v` is `None`),
+    /// and its column shard of the batch.
+    #[allow(clippy::too_many_arguments)]
+    fn shard(
+        comm: &Communicator,
+        pr: usize,
+        pc: usize,
+        full_w: &[Matrix],
+        full_v: Option<&[Matrix]>,
+        x: &Matrix,
+        labels: &[usize],
+        iter: usize,
+    ) -> Result<GridState, Error> {
+        let grid = Grid::new(comm, pr, pc)?;
+        let w: Vec<Matrix> = full_w.iter().map(|m| row_shard(m, pr, grid.i)).collect();
+        let v = match full_v {
+            Some(full_v) => full_v.iter().map(|m| row_shard(m, pr, grid.i)).collect(),
+            None => w
+                .iter()
+                .map(|m| Matrix::zeros(m.rows(), m.cols()))
+                .collect(),
+        };
+        Ok(GridState {
+            members: comm.members().to_vec(),
+            x_local: col_shard(x, pc, grid.j),
+            labels_local: labels[part_range(x.cols(), pc, grid.j)].to_vec(),
+            wsum: weights_checksum(&w),
+            grid,
+            w,
+            v,
+            iter,
+        })
+    }
 }
 
 /// Order-sensitive checksum over all weight shards.
@@ -733,7 +654,7 @@ fn attempt_recovery(
     x: &Matrix,
     labels: &[usize],
     cfg: &FtTrainConfig,
-) -> Result<(GridState, usize, usize), Error> {
+) -> Result<GridState, Error> {
     let my_global = comm.global_rank_of(comm.rank())?;
     let alive = comm.shrink_exclude(dead, epoch)?;
     let b_global = x.cols();
@@ -797,33 +718,8 @@ fn attempt_recovery(
 
     // Re-plan with Eq. 8 and rebuild the grid over the survivors.
     let (npr, npc) = plan_grid(wlayers, b_global as f64, alive.size(), &cfg.machine);
-    let grid = Grid::new(&alive, npr, npc)?;
-    let w: Vec<Matrix> = full_w.iter().map(|m| row_shard(m, npr, grid.i)).collect();
-    let v: Vec<Matrix> = if cfg.momentum != 0.0 {
-        full_v.iter().map(|m| row_shard(m, npr, grid.i)).collect()
-    } else {
-        w.iter()
-            .map(|m| Matrix::zeros(m.rows(), m.cols()))
-            .collect()
-    };
-    let x_local = col_shard(x, npc, grid.j);
-    let labels_local = labels[part_range(b_global, npc, grid.j)].to_vec();
-    let members = alive.members().to_vec();
-    let wsum = weights_checksum(&w);
-    Ok((
-        GridState {
-            grid,
-            members,
-            w,
-            v,
-            x_local,
-            labels_local,
-            iter: ck.iter,
-            wsum,
-        },
-        npr,
-        npc,
-    ))
+    let full_v = (cfg.momentum != 0.0).then_some(&full_v[..]);
+    GridState::shard(&alive, npr, npc, &full_w, full_v, x, labels, ck.iter)
 }
 
 /// How a rank enters the training loop: from scratch, or mid-run as a
@@ -881,23 +777,12 @@ fn run_rank(
             // Epoch-0 "shrink" of nothing: gives the training phase its
             // own context namespace, uniform with post-recovery grids.
             let alive0 = comm.shrink_exclude(&[], 0)?;
-            let grid = Grid::new(&alive0, pr0, pc0)?;
-            let full_weights = init_weights(layers, cfg.seed);
-            let w: Vec<Matrix> = full_weights
-                .iter()
-                .map(|m| row_shard(m, pr0, grid.i))
-                .collect();
-            let v: Vec<Matrix> = w
-                .iter()
-                .map(|m| Matrix::zeros(m.rows(), m.cols()))
-                .collect();
-            let x_local = col_shard(x, pc0, grid.j);
-            let labels_local = labels[part_range(b_global, pc0, grid.j)].to_vec();
-            let members = alive0.members().to_vec();
+            let full_w = init_weights(layers, cfg.seed);
+            let st = GridState::shard(&alive0, pr0, pc0, &full_w, None, x, labels, 0)?;
             ckpt_cur = Checkpoint {
                 iter: 0,
-                w: w.clone(),
-                v: v.clone(),
+                w: st.w.clone(),
+                v: st.v.clone(),
             };
             ckpt_prev = ckpt_cur.clone();
             comm.record_checkpoint_words(ckpt_cur.words());
@@ -906,18 +791,8 @@ fn run_rank(
                 "checkpoint",
                 &[("iter", 0.0), ("words", ckpt_cur.words() as f64)],
             );
-            old_view = (pr0, pc0, members.clone());
-            let wsum = weights_checksum(&w);
-            member = Some(GridState {
-                grid,
-                members,
-                w,
-                v,
-                x_local,
-                labels_local,
-                iter: 0,
-                wsum,
-            });
+            old_view = (pr0, pc0, st.members.clone());
+            member = Some(st);
             losses = Vec::new();
             excluded = Vec::new();
             stateless = Vec::new();
@@ -1240,7 +1115,8 @@ fn run_rank(
             });
             comm.record_recovery_secs(comm.now() - t0);
             if all_ok {
-                let (new_state, npr, npc) = attempt.expect("ok implies state");
+                let new_state = attempt.expect("ok implies state");
+                let (npr, npc) = (new_state.grid.pr, new_state.grid.pc);
                 let rejoined = stateless.clone();
                 ckpt_cur = Checkpoint {
                     iter: new_state.iter,
@@ -1335,19 +1211,7 @@ fn run_rank(
                 Ok(())
             }
         };
-        match pre.and_then(|_| {
-            run_iteration(
-                &st.grid,
-                layers,
-                &mut st.w,
-                &mut st.v,
-                &st.x_local,
-                &st.labels_local,
-                b_global,
-                st.iter as u64,
-                cfg,
-            )
-        }) {
+        match pre.and_then(|_| run_iteration(st, layers, b_global, cfg)) {
             Ok(global_loss) => {
                 losses.push(global_loss);
                 st.iter += 1;

@@ -111,8 +111,8 @@ impl Default for OverlapPlan {
 }
 
 impl OverlapPlan {
-    /// The plan that reproduces the legacy engine exactly: FIFO flush,
-    /// drain barrier, blocking forward and ∆X.
+    /// The legacy engine as a plan: FIFO flush, drain barrier, blocking
+    /// forward and ∆X.
     pub fn legacy() -> Self {
         OverlapPlan {
             bucket_words: DEFAULT_BUCKET_WORDS,
@@ -309,7 +309,7 @@ pub fn autotune(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::{synthetic_data, train_1p5d_overlap};
+    use crate::trainer::synthetic_data;
     use dnn::zoo::mlp;
 
     #[test]
@@ -383,7 +383,8 @@ mod tests {
         assert!(report.probe.makespan > 0.0);
         assert!(report.probe.bucket_flushes > 0, "probe recorded flushes");
         // The winner's numerics still match the legacy engine.
-        let legacy = train_1p5d_overlap(&net, &x, &labels, &cfg, 2, 2, model);
+        let legacy =
+            train_1p5d_scheduled(&net, &x, &labels, &cfg, 2, 2, model, OverlapPlan::legacy());
         let tuned = train_1p5d_scheduled(&net, &x, &labels, &cfg, 2, 2, model, report.chosen);
         for (a, b) in legacy.losses().iter().zip(tuned.losses()) {
             assert!((a - b).abs() < 1e-9, "loss drift {a} vs {b}");

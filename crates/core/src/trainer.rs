@@ -17,7 +17,7 @@
 use collectives::nonblocking::{iallreduce, iallreduce_ft, IallreduceHandle};
 use collectives::{FtConfig, ReduceOp};
 use dnn::{LayerSpec, Network};
-use mpsim::{Communicator, Error, NetModel, TraceConfig, World, WorldStats, WorldTrace};
+use mpsim::{Communicator, Error, NetModel, TraceConfig, TraceSpan, World, WorldStats, WorldTrace};
 use tensor::activation::{relu, relu_backward, softmax_xent, tanh, tanh_backward};
 use tensor::init;
 use tensor::matmul::{matmul, matmul_a_bt, matmul_at_b, matmul_flops};
@@ -25,10 +25,7 @@ use tensor::ops::axpy;
 use tensor::Matrix;
 
 use distmm::dist::{col_shard, part_range, row_shard};
-use distmm::onep5d::{
-    backward as grid_backward, backward_dw_deferred, backward_dx_overlap, forward as grid_forward,
-    forward_resume, forward_start, Grid,
-};
+use distmm::onep5d::{Grid, OpCtx};
 
 use crate::overlap::{FlushSchedule, OverlapPlan};
 
@@ -106,87 +103,15 @@ pub(crate) fn act_backward(act: Act, pre: &Matrix, post: &Matrix, dy: &Matrix) -
     }
 }
 
-/// Default fusion threshold (in f64 words) for gradient bucketing in
-/// [`train_1p5d_overlap`]: per-layer ∆W shards are concatenated in
-/// reverse layer order until a bucket reaches this size, then the
-/// bucket's row-group sum is launched as one non-blocking all-reduce.
-/// Bigger buckets amortize the ring's `2(P−1)·α` latency over more
-/// words; smaller buckets start transfers earlier. This is the
+/// Default fusion threshold (in f64 words) for gradient bucketing
+/// ([`OverlapPlan::bucket_words`]): per-layer ∆W shards are
+/// concatenated in reverse layer order until a bucket reaches this size,
+/// then the bucket's row-group sum is launched as one non-blocking
+/// all-reduce. Bigger buckets amortize the ring's `2(P−1)·α` latency
+/// over more words; smaller buckets start transfers earlier. This is the
 /// DDP-style trade-off; the value is deliberately small because the
 /// simulated layers are.
 pub const DEFAULT_BUCKET_WORDS: usize = 1 << 13;
-
-/// DDP-style gradient buckets: deferred per-layer ∆W partials are fused
-/// (in push order) into flat buffers and their row-group sums launched
-/// as non-blocking all-reduces the moment a bucket fills, so the
-/// transfers run on the comm channel while backprop continues into
-/// earlier layers. [`GradBuckets::drain`] settles every outstanding
-/// handle — call it before the optimizer step.
-pub(crate) struct GradBuckets {
-    comm: Communicator,
-    cap: usize,
-    ft: Option<FtConfig>,
-    /// Launched buckets: the in-flight handle plus the (layer, words)
-    /// segments fused into it, in fusion order.
-    pending: Vec<(IallreduceHandle, Vec<(usize, usize)>)>,
-    buf: Vec<f64>,
-    buf_layers: Vec<(usize, usize)>,
-}
-
-impl GradBuckets {
-    /// `comm` is the group to sum over (the grid's row group); `ft`
-    /// selects deadline-bounded receives with group abort.
-    pub(crate) fn new(comm: &Communicator, cap: usize, ft: Option<FtConfig>) -> Self {
-        assert!(cap >= 1, "bucket capacity must be at least one word");
-        GradBuckets {
-            comm: comm.clone(),
-            cap,
-            ft,
-            pending: Vec::new(),
-            buf: Vec::new(),
-            buf_layers: Vec::new(),
-        }
-    }
-
-    /// Appends layer `idx`'s local ∆W partial; launches the bucket's
-    /// all-reduce once the fusion threshold is reached.
-    pub(crate) fn push(&mut self, idx: usize, dw: &Matrix) -> Result<(), Error> {
-        self.buf_layers.push((idx, dw.len()));
-        self.buf.extend_from_slice(dw.as_slice());
-        if self.buf.len() >= self.cap {
-            self.launch()?;
-        }
-        Ok(())
-    }
-
-    fn launch(&mut self) -> Result<(), Error> {
-        let data = std::mem::take(&mut self.buf);
-        let segs = std::mem::take(&mut self.buf_layers);
-        let handle = match &self.ft {
-            Some(cfg) => iallreduce_ft(&self.comm, data, ReduceOp::Sum, cfg)?,
-            None => iallreduce(&self.comm, data, ReduceOp::Sum)?,
-        };
-        self.pending.push((handle, segs));
-        Ok(())
-    }
-
-    /// Flushes the partial bucket, waits on every outstanding handle in
-    /// launch order, and hands each layer its summed gradient slice.
-    pub(crate) fn drain(mut self, mut apply: impl FnMut(usize, &[f64])) -> Result<(), Error> {
-        if !self.buf.is_empty() {
-            self.launch()?;
-        }
-        for (handle, segs) in self.pending {
-            let summed = handle.wait()?;
-            let mut at = 0;
-            for (idx, len) in segs {
-                apply(idx, &summed[at..at + len]);
-                at += len;
-            }
-        }
-        Ok(())
-    }
-}
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -323,9 +248,9 @@ impl DistResult {
     /// hidden behind compute (see
     /// [`WorldStats::measured_overlap_fraction`]): 0 for
     /// [`train_1p5d`] (everything blocking), positive for
-    /// [`train_1p5d_overlap`]. Compare against the paper's analytic
-    /// 2/3 backprop fraction
-    /// ([`crate::overlap::PAPER_BACKPROP_FRACTION`]).
+    /// [`train_1p5d_scheduled`] under any plan, [`OverlapPlan::legacy`]
+    /// included. Compare against the paper's analytic 2/3 backprop
+    /// fraction ([`crate::overlap::PAPER_BACKPROP_FRACTION`]).
     pub fn measured_overlap_fraction(&self) -> f64 {
         self.stats.measured_overlap_fraction()
     }
@@ -349,9 +274,9 @@ impl DistResult {
 }
 
 /// Distributed full-batch SGD on a `pr × pc` grid over the `mpsim`
-/// virtual cluster. Data and initial weights are derived from the same
-/// seeds as [`train_serial`], so the trajectories are comparable
-/// element-wise.
+/// virtual cluster, every collective blocking. Data and initial weights
+/// are derived from the same seeds as [`train_serial`], so the
+/// trajectories are comparable element-wise.
 pub fn train_1p5d(
     net: &Network,
     x: &Matrix,
@@ -361,16 +286,7 @@ pub fn train_1p5d(
     pc: usize,
     model: NetModel,
 ) -> DistResult {
-    let layers = extract_fc_layers(net);
-    let (per_rank, stats) = World::run_with_stats(pr * pc, model, |comm| {
-        plain_rank(comm, &layers, x, labels, cfg, pr, pc)
-    });
-    DistResult {
-        pr,
-        pc,
-        per_rank,
-        stats,
-    }
+    train_1p5d_traced(net, x, labels, cfg, pr, pc, model, TraceConfig::disabled()).0
 }
 
 /// [`train_1p5d`] with per-rank event tracing (see [`mpsim::trace`]):
@@ -388,123 +304,41 @@ pub fn train_1p5d_traced(
     model: NetModel,
     trace: TraceConfig,
 ) -> (DistResult, WorldTrace) {
-    let layers = extract_fc_layers(net);
-    let (per_rank, stats, traces) = World::run_traced_with_stats(pr * pc, model, trace, |comm| {
-        plain_rank(comm, &layers, x, labels, cfg, pr, pc)
-    });
-    (
-        DistResult {
-            pr,
-            pc,
-            per_rank,
-            stats,
-        },
-        traces,
-    )
-}
-
-/// Rank body shared by [`train_1p5d`] and [`train_1p5d_traced`].
-fn plain_rank(
-    comm: &Communicator,
-    layers: &[FcLayer],
-    x: &Matrix,
-    labels: &[usize],
-    cfg: &TrainConfig,
-    pr: usize,
-    pc: usize,
-) -> RankOutcome {
-    let b_global = x.cols();
-    let grid = Grid::new(comm, pr, pc).expect("grid tiles the world");
-    let full_weights = init_weights(layers, cfg.seed);
-    let mut w_local: Vec<Matrix> = full_weights
-        .iter()
-        .map(|w| row_shard(w, pr, grid.i))
-        .collect();
-    let x_local = col_shard(x, pc, grid.j);
-    let label_range = part_range(b_global, pc, grid.j);
-    let labels_local = &labels[label_range.clone()];
-    let b_local = x_local.cols();
-
-    let mut partial_losses = Vec::with_capacity(cfg.iters);
-    for it in 0..cfg.iters {
-        // Forward.
-        let mut inputs = vec![x_local.clone()];
-        let mut pres = Vec::with_capacity(layers.len());
-        {
-            let _fwd = comm.trace_span("trainer", "forward", &[("iter", it as f64)]);
-            for (idx, (l, w)) in layers.iter().zip(&w_local).enumerate() {
-                let _layer = comm.trace_span("trainer", "layer_fwd", &[("layer", idx as f64)]);
-                let pre = grid_forward(&grid, w, inputs.last().expect("input")).expect("forward");
-                let post = apply_act(l.act, &pre);
-                pres.push(pre);
-                inputs.push(post);
-            }
-        }
-        let logits = inputs.last().expect("logits");
-        let (loss_local, mut grad) = softmax_xent(logits, labels_local);
-        // softmax_xent normalizes by the *local* batch; rescale to
-        // the global 1/B of the paper's Eq. 1 so the ∆W all-reduce
-        // sums to the global mean gradient.
-        let scale = b_local as f64 / b_global as f64;
-        for g in grad.as_mut_slice() {
-            *g *= scale;
-        }
-        partial_losses.push(loss_local * scale);
-        // Backward.
-        {
-            let _bwd = comm.trace_span("trainer", "backward", &[("iter", it as f64)]);
-            let mut dy = grad;
-            for (idx, l) in layers.iter().enumerate().rev() {
-                let _layer = comm.trace_span("trainer", "layer_bwd", &[("layer", idx as f64)]);
-                dy = act_backward(l.act, &pres[idx], &inputs[idx + 1], &dy);
-                let (dw, dx) =
-                    grid_backward(&grid, &w_local[idx], &inputs[idx], &dy).expect("backward");
-                axpy(-cfg.lr, dw.as_slice(), w_local[idx].as_mut_slice());
-                dy = dx;
-            }
-        }
-        comm.trace_instant("trainer", "optimizer_step", &[("iter", it as f64)]);
-    }
-    RankOutcome {
-        i: grid.i,
-        j: grid.j,
-        partial_losses,
-        weight_shards: w_local,
-    }
+    run(net, x, labels, cfg, pr, pc, model, trace, None)
 }
 
 /// [`train_1p5d`] with **executed communication/computation overlap**
-/// (the paper's Fig. 8, run rather than modelled): each layer's ∆W
-/// all-reduce is launched non-blocking as soon as its local partial
-/// `∆Y·Xᵀ` is formed — bucketed DDP-style
-/// ([`DEFAULT_BUCKET_WORDS`]) — and the transfers progress on the
-/// per-rank comm channel while backprop keeps computing ∆X and earlier
-/// layers' products. All buckets are drained before the optimizer
-/// `axpy`, preserving synchronous SGD semantics: the trajectory matches
-/// [`train_serial`] up to the reduction-order noise of fusing layer
-/// shards into shared ring buckets (~1 ulp; replicas within a row
-/// group remain bitwise identical).
+/// (the paper's Fig. 8, run rather than modelled), scheduled by an
+/// explicit [`OverlapPlan`]. Each layer's ∆W partial `∆Y·Xᵀ` goes into
+/// a DDP-style gradient bucket ([`OverlapPlan::bucket_words`]) whose
+/// row-group sum is launched non-blocking once the bucket fills, so the
+/// transfers progress on the per-rank comm channel while backprop keeps
+/// computing. On top of that:
 ///
-/// The ∆X all-reduce and the forward all-gather stay blocking — they
-/// are on the critical path of the chain rule.
-pub fn train_1p5d_overlap(
-    net: &Network,
-    x: &Matrix,
-    labels: &[usize],
-    cfg: &TrainConfig,
-    pr: usize,
-    pc: usize,
-    model: NetModel,
-) -> DistResult {
-    train_1p5d_overlap_with_bucket(net, x, labels, cfg, pr, pc, model, DEFAULT_BUCKET_WORDS)
-}
-
-/// [`train_1p5d_overlap`] with an explicit bucket fusion threshold
-/// (words). `bucket_words = 1` degenerates to one all-reduce per layer
-/// (earliest launch, most latency); `bucket_words = ∞` to a single
-/// fused all-reduce per iteration (fewest launches, latest start).
+/// * Buckets flush under a priority queue keyed by layer depth, with
+///   progress polls inside the backward loop
+///   ([`FlushSchedule::Priority`]).
+/// * `plan.dx_overlap` hides each layer's ∆X all-reduce behind the
+///   same layer's ∆W product (bit-identical values).
+/// * `plan.fwd_prefetch` pipelines the forward all-gathers, hiding
+///   each gather behind per-block activation and the next layer's
+///   partial-product accumulation (~1 ulp re-association).
+/// * `plan.interleave` replaces the post-backward drain barrier with
+///   per-bucket optimizer applies carried across the iteration
+///   boundary: a bucket is settled right before the first forward
+///   layer of the next iteration that reads it. Final weights are
+///   bit-identical to the barrier version — buckets touch disjoint
+///   layers, so the applies commute.
+///
+/// [`OverlapPlan::legacy`] is the plain FIFO engine: buckets launched
+/// in backward, waited in launch order at a barrier before the
+/// optimizer step, forward and ∆X blocking. Every plan preserves
+/// synchronous SGD: the trajectory matches [`train_serial`] up to the
+/// reduction-order noise of fusing layer shards into shared ring
+/// buckets (~1 ulp; replicas within a row group remain bitwise
+/// identical).
 #[allow(clippy::too_many_arguments)]
-pub fn train_1p5d_overlap_with_bucket(
+pub fn train_1p5d_scheduled(
     net: &Network,
     x: &Matrix,
     labels: &[usize],
@@ -512,26 +346,29 @@ pub fn train_1p5d_overlap_with_bucket(
     pr: usize,
     pc: usize,
     model: NetModel,
-    bucket_words: usize,
+    plan: OverlapPlan,
 ) -> DistResult {
-    let layers = extract_fc_layers(net);
-    let (per_rank, stats) = World::run_with_stats(pr * pc, model, |comm| {
-        overlap_rank(comm, &layers, x, labels, cfg, pr, pc, bucket_words)
-    });
-    DistResult {
+    run(
+        net,
+        x,
+        labels,
+        cfg,
         pr,
         pc,
-        per_rank,
-        stats,
-    }
+        model,
+        TraceConfig::disabled(),
+        Some(plan),
+    )
+    .0
 }
 
-/// [`train_1p5d_overlap`] with per-rank event tracing: besides the
-/// `trainer` phase spans, the trace shows the overlapped ∆W transfers
-/// as `channel`-track spans with their exposed remainder as `drain`
-/// spans at the optimizer step.
+/// [`train_1p5d_scheduled`] with per-rank event tracing: the usual
+/// `trainer` phase spans, the overlapped ∆W transfers as
+/// `channel`-track spans with their exposed remainder as `drain` spans,
+/// and the scheduler's `sched`-category `bucket_flush`/`progress_poll`
+/// instants.
 #[allow(clippy::too_many_arguments)]
-pub fn train_1p5d_overlap_traced(
+pub fn train_1p5d_scheduled_traced(
     net: &Network,
     x: &Matrix,
     labels: &[usize],
@@ -540,10 +377,26 @@ pub fn train_1p5d_overlap_traced(
     pc: usize,
     model: NetModel,
     trace: TraceConfig,
+    plan: OverlapPlan,
+) -> (DistResult, WorldTrace) {
+    run(net, x, labels, cfg, pr, pc, model, trace, Some(plan))
+}
+
+#[allow(clippy::too_many_arguments)]
+fn run(
+    net: &Network,
+    x: &Matrix,
+    labels: &[usize],
+    cfg: &TrainConfig,
+    pr: usize,
+    pc: usize,
+    model: NetModel,
+    trace: TraceConfig,
+    plan: Option<OverlapPlan>,
 ) -> (DistResult, WorldTrace) {
     let layers = extract_fc_layers(net);
     let (per_rank, stats, traces) = World::run_traced_with_stats(pr * pc, model, trace, |comm| {
-        overlap_rank(comm, &layers, x, labels, cfg, pr, pc, DEFAULT_BUCKET_WORDS)
+        run_rank(comm, &layers, x, labels, cfg, pr, pc, plan)
     });
     (
         DistResult {
@@ -556,10 +409,10 @@ pub fn train_1p5d_overlap_traced(
     )
 }
 
-/// Rank body shared by [`train_1p5d_overlap_with_bucket`] and
-/// [`train_1p5d_overlap_traced`].
+/// Rank body of every non-fault-tolerant trainer: blocking when `plan`
+/// is `None`, the scheduled overlap engine otherwise.
 #[allow(clippy::too_many_arguments)]
-fn overlap_rank(
+fn run_rank(
     comm: &Communicator,
     layers: &[FcLayer],
     x: &Matrix,
@@ -567,70 +420,44 @@ fn overlap_rank(
     cfg: &TrainConfig,
     pr: usize,
     pc: usize,
-    bucket_words: usize,
+    plan: Option<OverlapPlan>,
 ) -> RankOutcome {
     let b_global = x.cols();
     let grid = Grid::new(comm, pr, pc).expect("grid tiles the world");
-    let full_weights = init_weights(layers, cfg.seed);
-    let mut w_local: Vec<Matrix> = full_weights
+    let mut w_local: Vec<Matrix> = init_weights(layers, cfg.seed)
         .iter()
         .map(|w| row_shard(w, pr, grid.i))
         .collect();
     let x_local = col_shard(x, pc, grid.j);
-    let label_range = part_range(b_global, pc, grid.j);
-    let labels_local = &labels[label_range.clone()];
-    let b_local = x_local.cols();
+    let labels_local = &labels[part_range(b_global, pc, grid.j)];
+    // The scheduler outlives the iteration loop: under `interleave`,
+    // buckets launched in iteration t are settled lazily during the
+    // forward pass of iteration t+1.
+    let mut sched = plan.map(|p| BucketScheduler::new(&grid.row_comm, p, None));
+    let mut apply = |_: usize, w: &mut Matrix, g: &[f64]| axpy(-cfg.lr, g, w.as_mut_slice());
 
     let mut partial_losses = Vec::with_capacity(cfg.iters);
     for it in 0..cfg.iters {
-        // Forward (unchanged from train_1p5d).
-        let mut inputs = vec![x_local.clone()];
-        let mut pres = Vec::with_capacity(layers.len());
-        {
-            let _fwd = comm.trace_span("trainer", "forward", &[("iter", it as f64)]);
-            for (idx, (l, w)) in layers.iter().zip(&w_local).enumerate() {
-                let _layer = comm.trace_span("trainer", "layer_fwd", &[("layer", idx as f64)]);
-                let pre = grid_forward(&grid, w, inputs.last().expect("input")).expect("forward");
-                let post = apply_act(l.act, &pre);
-                pres.push(pre);
-                inputs.push(post);
-            }
-        }
-        let logits = inputs.last().expect("logits");
-        let (loss_local, mut grad) = softmax_xent(logits, labels_local);
-        let scale = b_local as f64 / b_global as f64;
-        for g in grad.as_mut_slice() {
-            *g *= scale;
-        }
-        partial_losses.push(loss_local * scale);
-        // Backward with executed overlap: ∆W partials go into
-        // buckets whose row-group sums run on the comm channel
-        // while the loop keeps computing; ∆X stays blocking (the
-        // chain rule needs it immediately).
-        let mut buckets = GradBuckets::new(&grid.row_comm, bucket_words, None);
-        {
-            let _bwd = comm.trace_span("trainer", "backward", &[("iter", it as f64)]);
-            let mut dy = grad;
-            for (idx, l) in layers.iter().enumerate().rev() {
-                let _layer = comm.trace_span("trainer", "layer_bwd", &[("layer", idx as f64)]);
-                dy = act_backward(l.act, &pres[idx], &inputs[idx + 1], &dy);
-                let (dw, dx) = backward_dw_deferred(&grid, &w_local[idx], &inputs[idx], &dy)
-                    .expect("backward");
-                buckets.push(idx, &dw).expect("bucket launch");
-                dy = dx;
-            }
-        }
-        // Drain every outstanding bucket, then step. Deferring the
-        // axpy changes nothing numerically: ∆X already used the
-        // pre-update weights in the blocking trainer too.
-        {
-            let _step = comm.trace_span("trainer", "optimizer_step", &[("iter", it as f64)]);
-            buckets
-                .drain(|idx, summed| {
-                    axpy(-cfg.lr, summed, w_local[idx].as_mut_slice());
-                })
-                .expect("bucket drain");
-        }
+        let step = Iteration {
+            grid: &grid,
+            layers,
+            ctx: OpCtx::Plain,
+            iter: it as u64,
+        };
+        let acts = step
+            .forward(&mut w_local, &x_local, sched.as_mut(), &mut apply)
+            .expect("forward");
+        let (loss, grad) = shard_loss(acts.logits(), labels_local, b_global);
+        partial_losses.push(loss);
+        step.backward(
+            &mut w_local,
+            &acts,
+            grad,
+            sched.as_mut(),
+            it + 1 == cfg.iters,
+            &mut apply,
+        )
+        .expect("backward");
     }
     RankOutcome {
         i: grid.i,
@@ -650,6 +477,211 @@ pub fn trainable_words(net: &Network) -> usize {
         .sum()
 }
 
+/// Softmax cross-entropy of this rank's batch shard. `softmax_xent`
+/// normalizes by the *local* batch; loss and gradient are rescaled to
+/// the global 1/B of the paper's Eq. 1, so the ∆W all-reduce sums to
+/// the global mean gradient and one grid row's losses sum to the global
+/// loss.
+pub(crate) fn shard_loss(logits: &Matrix, labels: &[usize], b_global: usize) -> (f64, Matrix) {
+    let (loss, mut grad) = softmax_xent(logits, labels);
+    let scale = logits.cols() as f64 / b_global as f64;
+    for g in grad.as_mut_slice() {
+        *g *= scale;
+    }
+    (loss * scale, grad)
+}
+
+/// What one forward pass keeps for backward.
+pub(crate) struct Activations {
+    /// Layer inputs: `inputs[0]` is the batch shard, `inputs[l + 1]`
+    /// layer `l`'s post-activation output.
+    inputs: Vec<Matrix>,
+    /// Layer `l`'s pre-activation output.
+    pres: Vec<Matrix>,
+}
+
+impl Activations {
+    /// The last layer's output.
+    pub(crate) fn logits(&self) -> &Matrix {
+        self.inputs.last().expect("logits")
+    }
+}
+
+/// The optimizer step as the shared passes see it: `apply(idx, w, g)`
+/// folds layer `idx`'s summed gradient `g` into its weight shard `w`.
+pub(crate) trait Apply: FnMut(usize, &mut Matrix, &[f64]) {}
+impl<F: FnMut(usize, &mut Matrix, &[f64])> Apply for F {}
+
+/// One rank's view of one training iteration — the single forward and
+/// backward pass both trainers run. `ctx` selects plain or
+/// fault-tolerant ops; a [`BucketScheduler`] handed to the passes
+/// selects the overlap engine under its [`OverlapPlan`], and its absence
+/// the fully blocking iteration.
+pub(crate) struct Iteration<'a> {
+    pub(crate) grid: &'a Grid,
+    pub(crate) layers: &'a [FcLayer],
+    pub(crate) ctx: OpCtx<'a>,
+    /// Iteration number, carried by the `trainer` phase spans.
+    pub(crate) iter: u64,
+}
+
+impl Iteration<'_> {
+    fn span(&self, name: &'static str) -> TraceSpan {
+        self.grid
+            .row_comm
+            .trace_span("trainer", name, &[("iter", self.iter as f64)])
+    }
+
+    fn layer_span(&self, name: &'static str, idx: usize) -> TraceSpan {
+        self.grid
+            .row_comm
+            .trace_span("trainer", name, &[("layer", idx as f64)])
+    }
+
+    /// The forward pass. Buckets still in flight from the previous
+    /// iteration are settled right before the first layer that reads
+    /// them. Under `plan.fwd_prefetch` (and a column ring to hide) the
+    /// gathers are pipelined: layer `idx`'s blocks are consumed in ring
+    /// arrival order while layer `idx+1`'s partial accumulates per
+    /// block, so the ring hides behind the activation + partial-GEMM
+    /// work. The accumulated partials of layers ≥ 1 are never one
+    /// monolithic GEMM, so they carry no SDC guard op.
+    pub(crate) fn forward(
+        &self,
+        w: &mut [Matrix],
+        x_local: &Matrix,
+        mut sched: Option<&mut BucketScheduler>,
+        apply: &mut impl Apply,
+    ) -> Result<Activations, Error> {
+        let (grid, layers, ctx) = (self.grid, self.layers, &self.ctx);
+        let b_local = x_local.cols();
+        let mut inputs = vec![x_local.clone()];
+        let mut pres = Vec::with_capacity(layers.len());
+        let _fwd = self.span("forward");
+        let prefetch = sched.as_ref().is_some_and(|s| s.plan.fwd_prefetch) && grid.pr > 1;
+        if !prefetch {
+            for (idx, l) in layers.iter().enumerate() {
+                let _layer = self.layer_span("layer_fwd", idx);
+                if let Some(s) = sched.as_deref_mut() {
+                    s.apply_ready_for(idx, w, apply)?;
+                }
+                let pre = ctx.forward(grid, &w[idx], inputs.last().expect("input"))?;
+                inputs.push(apply_act(l.act, &pre));
+                pres.push(pre);
+            }
+            return Ok(Activations { inputs, pres });
+        }
+        let sched = sched.expect("prefetch runs under a plan");
+        sched.apply_ready_for(0, w, apply)?;
+        let mut pf = ctx.forward_start(grid, &w[0], x_local)?;
+        for (idx, l) in layers.iter().enumerate() {
+            let _layer = self.layer_span("layer_fwd", idx);
+            let next = idx + 1;
+            let mut acc = None;
+            if next < layers.len() {
+                // The consume loop below reads W[next]; any bucket
+                // updating it must land first.
+                sched.apply_ready_for(next, w, apply)?;
+                acc = Some(Matrix::zeros(w[next].rows(), b_local));
+            }
+            let mut pre_blocks: Vec<Option<Matrix>> = vec![None; grid.pr];
+            let mut post_blocks: Vec<Option<Matrix>> = vec![None; grid.pr];
+            while let Some((src, block)) = pf.next_block()? {
+                let post = apply_act(l.act, &block);
+                if let Some(acc) = acc.as_mut() {
+                    let crange = part_range(l.d_out, grid.pr, src);
+                    let wcols = w[next].col_block(crange.start, crange.end);
+                    grid.col_comm
+                        .advance_flops(matmul_flops(wcols.rows(), wcols.cols(), b_local));
+                    let prod = matmul(&wcols, &post);
+                    axpy(1.0, prod.as_slice(), acc.as_mut_slice());
+                }
+                pre_blocks[src] = Some(block);
+                post_blocks[src] = Some(post);
+            }
+            let stack = |blocks: Vec<Option<Matrix>>| {
+                let blocks: Vec<Matrix> = blocks
+                    .into_iter()
+                    .map(|b| b.expect("all blocks delivered"))
+                    .collect();
+                Matrix::vcat(&blocks)
+            };
+            pres.push(stack(pre_blocks));
+            inputs.push(stack(post_blocks));
+            if let Some(acc) = acc {
+                pf = ctx.forward_resume(grid, acc)?;
+            }
+        }
+        Ok(Activations { inputs, pres })
+    }
+
+    /// The backward pass from the loss gradient `grad`, then the
+    /// optimizer step. Without a scheduler every ∆W is all-reduced
+    /// blocking and applied at once. With one, ∆W partials flush
+    /// through its buckets and each layer's poll drives a chunk of the
+    /// deepest in-flight bucket; the buckets are then drained and
+    /// applied — unless `plan.interleave` defers them to the next
+    /// iteration's forward (never past the `last` iteration, so the
+    /// returned weights are complete).
+    pub(crate) fn backward(
+        &self,
+        w: &mut [Matrix],
+        acts: &Activations,
+        grad: Matrix,
+        mut sched: Option<&mut BucketScheduler>,
+        last: bool,
+        apply: &mut impl Apply,
+    ) -> Result<(), Error> {
+        let (grid, ctx) = (self.grid, &self.ctx);
+        let Activations { inputs, pres } = acts;
+        {
+            let _bwd = self.span("backward");
+            let mut dy = grad;
+            for (idx, l) in self.layers.iter().enumerate().rev() {
+                let _layer = self.layer_span("layer_bwd", idx);
+                dy = act_backward(l.act, &pres[idx], &inputs[idx + 1], &dy);
+                dy = match sched.as_deref_mut() {
+                    None => {
+                        let (dw, dx) = ctx.backward(grid, &w[idx], &inputs[idx], &dy)?;
+                        apply(idx, &mut w[idx], dw.as_slice());
+                        dx
+                    }
+                    Some(s) => {
+                        let (dw, dx) = if s.plan.dx_overlap {
+                            ctx.backward_dx_overlap(grid, &w[idx], &inputs[idx], &dy)?
+                        } else {
+                            ctx.backward_dw_deferred(grid, &w[idx], &inputs[idx], &dy)?
+                        };
+                        s.push(idx, &dw)?;
+                        s.poll()?;
+                        dx
+                    }
+                };
+            }
+            if let Some(s) = sched.as_deref_mut() {
+                s.flush()?;
+            }
+        }
+        let args = [("iter", self.iter as f64)];
+        match sched {
+            None => grid
+                .row_comm
+                .trace_instant("trainer", "optimizer_step", &args),
+            // Buckets stay in flight across the boundary; the next
+            // forward's lazy drain is the optimizer step.
+            Some(s) if s.plan.interleave && !last => {
+                grid.row_comm
+                    .trace_instant("trainer", "optimizer_deferred", &args)
+            }
+            Some(s) => {
+                let _step = self.span("optimizer_step");
+                s.drain_all(w, apply)?;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// One gradient bucket in flight (or already settled locally).
 struct PendingBucket {
     /// The row-group sum in flight; `None` for a degenerate
@@ -667,8 +699,11 @@ struct PendingBucket {
     min_layer: usize,
 }
 
-/// Priority-scheduled gradient buckets — the successor of
-/// [`GradBuckets`]. Three things distinguish it:
+/// Priority-scheduled DDP-style gradient buckets: deferred per-layer ∆W
+/// partials are fused (in push order) into flat buffers whose row-group
+/// sums are launched as non-blocking all-reduces the moment a bucket
+/// fills, so the transfers run on the comm channel while backprop
+/// continues into earlier layers. Beyond launching:
 ///
 /// * **Flush instants**: every launch records a zero-duration
 ///   `sched`/`bucket_flush` trace event, so `trace_analyze` can see
@@ -690,30 +725,27 @@ struct PendingBucket {
 /// already issued on the peer).
 pub(crate) struct BucketScheduler {
     comm: Communicator,
-    cap: usize,
+    /// The plan the shared passes run under.
+    plan: OverlapPlan,
     ft: Option<FtConfig>,
-    priority: bool,
     pending: Vec<PendingBucket>,
     buf: Vec<f64>,
     buf_layers: Vec<(usize, usize)>,
 }
 
 impl BucketScheduler {
-    /// `comm` is the group to sum over (the grid's row group); `ft`
-    /// selects deadline-bounded receives; `priority` enables polls
-    /// (drain order is always need-aware where the caller asks for it).
-    pub(crate) fn new(
-        comm: &Communicator,
-        cap: usize,
-        ft: Option<FtConfig>,
-        priority: bool,
-    ) -> Self {
-        assert!(cap >= 1, "bucket capacity must be at least one word");
+    /// `comm` is the group to sum over (the grid's row group); `plan`
+    /// sets the fusion threshold and the flush schedule; `ft` selects
+    /// deadline-bounded receives.
+    pub(crate) fn new(comm: &Communicator, plan: OverlapPlan, ft: Option<FtConfig>) -> Self {
+        assert!(
+            plan.bucket_words >= 1,
+            "bucket capacity must be at least one word"
+        );
         BucketScheduler {
             comm: comm.clone(),
-            cap,
+            plan,
             ft,
-            priority,
             pending: Vec::new(),
             buf: Vec::new(),
             buf_layers: Vec::new(),
@@ -725,7 +757,7 @@ impl BucketScheduler {
     pub(crate) fn push(&mut self, idx: usize, dw: &Matrix) -> Result<(), Error> {
         self.buf_layers.push((idx, dw.len()));
         self.buf.extend_from_slice(dw.as_slice());
-        if self.buf.len() >= self.cap {
+        if self.buf.len() >= self.plan.bucket_words {
             self.flush()?;
         }
         Ok(())
@@ -783,7 +815,7 @@ impl BucketScheduler {
     /// a `progress_poll` instant when a step was actually driven.
     /// No-op under [`FlushSchedule::Fifo`].
     pub(crate) fn poll(&mut self) -> Result<(), Error> {
-        if !self.priority {
+        if self.plan.schedule != FlushSchedule::Priority {
             return Ok(());
         }
         let in_flight = self.pending.iter().filter(|b| b.handle.is_some()).count();
@@ -811,7 +843,8 @@ impl BucketScheduler {
     pub(crate) fn apply_ready_for(
         &mut self,
         layer: usize,
-        mut apply: impl FnMut(usize, &[f64]),
+        w: &mut [Matrix],
+        apply: &mut impl Apply,
     ) -> Result<(), Error> {
         loop {
             let next = self
@@ -824,7 +857,7 @@ impl BucketScheduler {
             let Some(k) = next else { return Ok(()) };
             self.drive_for(k)?;
             let bucket = self.pending.remove(k);
-            Self::settle(bucket, &mut apply)?;
+            Self::settle(bucket, w, apply)?;
         }
     }
 
@@ -833,7 +866,7 @@ impl BucketScheduler {
     /// global issue order regardless of which bucket the caller needs
     /// first matters twice: it is the SPMD order every row-group
     /// member agrees on (deadlock freedom), and it preserves the
-    /// legacy channel packing — completing a late-launched bucket
+    /// FIFO channel packing — completing a late-launched bucket
     /// first must not convoy earlier buckets' chunks behind its
     /// pipeline stalls. Only the *blocking* is need-ordered.
     fn drive_for(&mut self, k: usize) -> Result<(), Error> {
@@ -854,259 +887,33 @@ impl BucketScheduler {
 
     /// Flushes the partial bucket and settles everything outstanding
     /// in launch order, applying per bucket as each wait completes.
-    pub(crate) fn drain_all(&mut self, mut apply: impl FnMut(usize, &[f64])) -> Result<(), Error> {
+    pub(crate) fn drain_all(
+        &mut self,
+        w: &mut [Matrix],
+        apply: &mut impl Apply,
+    ) -> Result<(), Error> {
         self.flush()?;
         for bucket in self.pending.drain(..) {
-            Self::settle(bucket, &mut apply)?;
+            Self::settle(bucket, w, apply)?;
         }
         Ok(())
     }
 
-    fn settle(bucket: PendingBucket, apply: &mut impl FnMut(usize, &[f64])) -> Result<(), Error> {
+    fn settle(
+        bucket: PendingBucket,
+        w: &mut [Matrix],
+        apply: &mut impl Apply,
+    ) -> Result<(), Error> {
         let summed = match bucket.handle {
             Some(h) => h.wait()?,
             None => bucket.data.expect("degenerate bucket holds its data"),
         };
         let mut at = 0;
         for (idx, len) in bucket.segs {
-            apply(idx, &summed[at..at + len]);
+            apply(idx, &mut w[idx], &summed[at..at + len]);
             at += len;
         }
         Ok(())
-    }
-}
-
-/// [`train_1p5d_overlap`] rebuilt around an explicit [`OverlapPlan`]:
-/// the communication is *scheduled*, not merely launched.
-///
-/// * Buckets flush under a priority queue keyed by layer depth, with
-///   progress polls inside the backward loop
-///   ([`FlushSchedule::Priority`]).
-/// * `plan.dx_overlap` hides each layer's ∆X all-reduce behind the
-///   same layer's ∆W product (bit-identical values).
-/// * `plan.fwd_prefetch` pipelines the forward all-gathers, hiding
-///   each gather behind per-block activation and the next layer's
-///   partial-product accumulation (~1 ulp re-association).
-/// * `plan.interleave` replaces the post-backward drain barrier with
-///   per-bucket optimizer applies carried across the iteration
-///   boundary: a bucket is settled right before the first forward
-///   layer of the next iteration that reads it. Final weights are
-///   bit-identical to the barrier version — buckets touch disjoint
-///   layers, so the applies commute.
-///
-/// With [`OverlapPlan::legacy`] this is numerically and
-/// virtual-time-identical to [`train_1p5d_overlap`].
-#[allow(clippy::too_many_arguments)]
-pub fn train_1p5d_scheduled(
-    net: &Network,
-    x: &Matrix,
-    labels: &[usize],
-    cfg: &TrainConfig,
-    pr: usize,
-    pc: usize,
-    model: NetModel,
-    plan: OverlapPlan,
-) -> DistResult {
-    let layers = extract_fc_layers(net);
-    let (per_rank, stats) = World::run_with_stats(pr * pc, model, |comm| {
-        scheduled_rank(comm, &layers, x, labels, cfg, pr, pc, plan)
-    });
-    DistResult {
-        pr,
-        pc,
-        per_rank,
-        stats,
-    }
-}
-
-/// [`train_1p5d_scheduled`] with per-rank event tracing: the usual
-/// `trainer` phase spans plus the scheduler's `sched`-category
-/// `bucket_flush`/`progress_poll` instants.
-#[allow(clippy::too_many_arguments)]
-pub fn train_1p5d_scheduled_traced(
-    net: &Network,
-    x: &Matrix,
-    labels: &[usize],
-    cfg: &TrainConfig,
-    pr: usize,
-    pc: usize,
-    model: NetModel,
-    trace: TraceConfig,
-    plan: OverlapPlan,
-) -> (DistResult, WorldTrace) {
-    let layers = extract_fc_layers(net);
-    let (per_rank, stats, traces) = World::run_traced_with_stats(pr * pc, model, trace, |comm| {
-        scheduled_rank(comm, &layers, x, labels, cfg, pr, pc, plan)
-    });
-    (
-        DistResult {
-            pr,
-            pc,
-            per_rank,
-            stats,
-        },
-        traces,
-    )
-}
-
-/// Rank body of the scheduled overlap engine.
-#[allow(clippy::too_many_arguments)]
-fn scheduled_rank(
-    comm: &Communicator,
-    layers: &[FcLayer],
-    x: &Matrix,
-    labels: &[usize],
-    cfg: &TrainConfig,
-    pr: usize,
-    pc: usize,
-    plan: OverlapPlan,
-) -> RankOutcome {
-    let b_global = x.cols();
-    let grid = Grid::new(comm, pr, pc).expect("grid tiles the world");
-    let full_weights = init_weights(layers, cfg.seed);
-    let mut w_local: Vec<Matrix> = full_weights
-        .iter()
-        .map(|w| row_shard(w, pr, grid.i))
-        .collect();
-    let x_local = col_shard(x, pc, grid.j);
-    let label_range = part_range(b_global, pc, grid.j);
-    let labels_local = &labels[label_range.clone()];
-    let b_local = x_local.cols();
-    let lr = cfg.lr;
-    let priority = plan.schedule == FlushSchedule::Priority;
-    // The scheduler outlives the iteration loop: under `interleave`,
-    // buckets launched in iteration t are settled lazily during the
-    // forward pass of iteration t+1.
-    let mut sched = BucketScheduler::new(&grid.row_comm, plan.bucket_words, None, priority);
-
-    let mut partial_losses = Vec::with_capacity(cfg.iters);
-    for it in 0..cfg.iters {
-        // Forward; settles last iteration's in-flight buckets right
-        // before the first layer that reads each one.
-        let mut inputs = vec![x_local.clone()];
-        let mut pres = Vec::with_capacity(layers.len());
-        {
-            let _fwd = comm.trace_span("trainer", "forward", &[("iter", it as f64)]);
-            if plan.fwd_prefetch && pr > 1 {
-                // Pipelined gathers: layer idx's blocks are consumed in
-                // ring arrival order while layer idx+1's partial
-                // accumulates per block, so the ring hides behind the
-                // activation + partial-GEMM work.
-                sched
-                    .apply_ready_for(0, |k, g| axpy(-lr, g, w_local[k].as_mut_slice()))
-                    .expect("lazy drain");
-                let mut pf = forward_start(&grid, &w_local[0], &x_local).expect("forward");
-                for idx in 0..layers.len() {
-                    let _layer = comm.trace_span("trainer", "layer_fwd", &[("layer", idx as f64)]);
-                    let next = idx + 1;
-                    if next < layers.len() {
-                        // The consume loop below reads W[next]; any
-                        // bucket updating it must land first.
-                        sched
-                            .apply_ready_for(next, |k, g| axpy(-lr, g, w_local[k].as_mut_slice()))
-                            .expect("lazy drain");
-                    }
-                    let l = &layers[idx];
-                    let mut acc = if next < layers.len() {
-                        Some(Matrix::zeros(w_local[next].rows(), b_local))
-                    } else {
-                        None
-                    };
-                    let mut pre_blocks: Vec<Option<Matrix>> = vec![None; pr];
-                    let mut post_blocks: Vec<Option<Matrix>> = vec![None; pr];
-                    while let Some((src, block)) = pf.next_block().expect("gather block") {
-                        let post = apply_act(l.act, &block);
-                        if let Some(acc) = acc.as_mut() {
-                            let crange = part_range(l.d_out, pr, src);
-                            let wcols = w_local[next].col_block(crange.start, crange.end);
-                            grid.col_comm.advance_flops(matmul_flops(
-                                wcols.rows(),
-                                wcols.cols(),
-                                b_local,
-                            ));
-                            let prod = matmul(&wcols, &post);
-                            axpy(1.0, prod.as_slice(), acc.as_mut_slice());
-                        }
-                        pre_blocks[src] = Some(block);
-                        post_blocks[src] = Some(post);
-                    }
-                    let pre = Matrix::vcat(
-                        &pre_blocks
-                            .into_iter()
-                            .map(|b| b.expect("all blocks delivered"))
-                            .collect::<Vec<_>>(),
-                    );
-                    let post = Matrix::vcat(
-                        &post_blocks
-                            .into_iter()
-                            .map(|b| b.expect("all blocks delivered"))
-                            .collect::<Vec<_>>(),
-                    );
-                    pres.push(pre);
-                    inputs.push(post);
-                    if let Some(acc) = acc {
-                        pf = forward_resume(&grid, acc).expect("gather launch");
-                    }
-                }
-            } else {
-                for (idx, l) in layers.iter().enumerate() {
-                    let _layer = comm.trace_span("trainer", "layer_fwd", &[("layer", idx as f64)]);
-                    sched
-                        .apply_ready_for(idx, |k, g| axpy(-lr, g, w_local[k].as_mut_slice()))
-                        .expect("lazy drain");
-                    let pre = grid_forward(&grid, &w_local[idx], inputs.last().expect("input"))
-                        .expect("forward");
-                    let post = apply_act(l.act, &pre);
-                    pres.push(pre);
-                    inputs.push(post);
-                }
-            }
-        }
-        let logits = inputs.last().expect("logits");
-        let (loss_local, mut grad) = softmax_xent(logits, labels_local);
-        let scale = b_local as f64 / b_global as f64;
-        for g in grad.as_mut_slice() {
-            *g *= scale;
-        }
-        partial_losses.push(loss_local * scale);
-        // Backward: ∆W partials flush through the scheduler; each
-        // layer's poll drives a chunk of the deepest in-flight bucket.
-        {
-            let _bwd = comm.trace_span("trainer", "backward", &[("iter", it as f64)]);
-            let mut dy = grad;
-            for (idx, l) in layers.iter().enumerate().rev() {
-                let _layer = comm.trace_span("trainer", "layer_bwd", &[("layer", idx as f64)]);
-                dy = act_backward(l.act, &pres[idx], &inputs[idx + 1], &dy);
-                let (dw, dx) = if plan.dx_overlap {
-                    backward_dx_overlap(&grid, &w_local[idx], &inputs[idx], &dy)
-                } else {
-                    backward_dw_deferred(&grid, &w_local[idx], &inputs[idx], &dy)
-                }
-                .expect("backward");
-                sched.push(idx, &dw).expect("bucket flush");
-                sched.poll().expect("bucket progress");
-                dy = dx;
-            }
-            sched.flush().expect("bucket flush");
-        }
-        if plan.interleave && it + 1 < cfg.iters {
-            // Buckets stay in flight across the boundary; the next
-            // forward's lazy drain is the optimizer step. The final
-            // iteration still drains below so the returned weights are
-            // complete.
-            comm.trace_instant("trainer", "optimizer_deferred", &[("iter", it as f64)]);
-        } else {
-            let _step = comm.trace_span("trainer", "optimizer_step", &[("iter", it as f64)]);
-            sched
-                .drain_all(|k, g| axpy(-lr, g, w_local[k].as_mut_slice()))
-                .expect("bucket drain");
-        }
-    }
-    RankOutcome {
-        i: grid.i,
-        j: grid.j,
-        partial_losses,
-        weight_shards: w_local,
     }
 }
 
@@ -1189,7 +996,7 @@ mod tests {
         for (pr, pc) in [(1, 1), (1, 4), (4, 1), (2, 3), (4, 2)] {
             // Per-layer launches, mid-size fusion, and one giant bucket.
             for bucket in [1, 64, usize::MAX] {
-                let dist = train_1p5d_overlap_with_bucket(
+                let dist = train_1p5d_scheduled(
                     &net,
                     &x,
                     &labels,
@@ -1197,7 +1004,10 @@ mod tests {
                     pr,
                     pc,
                     NetModel::free(),
-                    bucket,
+                    OverlapPlan {
+                        bucket_words: bucket,
+                        ..OverlapPlan::legacy()
+                    },
                 );
                 let diff = max_weight_diff(&serial.weights, &dist.weights());
                 assert!(
@@ -1234,7 +1044,16 @@ mod tests {
         };
         for (pr, pc) in [(1, 4), (2, 4), (4, 2)] {
             let serialized = train_1p5d(&net, &x, &labels, &cfg, pr, pc, model);
-            let overlapped = train_1p5d_overlap(&net, &x, &labels, &cfg, pr, pc, model);
+            let overlapped = train_1p5d_scheduled(
+                &net,
+                &x,
+                &labels,
+                &cfg,
+                pr,
+                pc,
+                model,
+                OverlapPlan::legacy(),
+            );
             let t_ser = serialized.stats.makespan();
             let t_ovl = overlapped.stats.makespan();
             assert!(
@@ -1386,7 +1205,7 @@ mod tests {
         };
         for (pr, pc) in [(1, 4), (4, 1), (2, 3), (4, 2)] {
             for bucket in [1, 512, usize::MAX] {
-                let legacy = train_1p5d_overlap_with_bucket(
+                let legacy = train_1p5d_scheduled(
                     &net,
                     &x,
                     &labels,
@@ -1394,7 +1213,10 @@ mod tests {
                     pr,
                     pc,
                     NetModel::free(),
-                    bucket,
+                    OverlapPlan {
+                        bucket_words: bucket,
+                        ..OverlapPlan::legacy()
+                    },
                 );
                 for plan in [
                     OverlapPlan {
@@ -1456,7 +1278,16 @@ mod tests {
             seed: 1,
         };
         for (pr, pc) in [(1, 4), (2, 4), (4, 2), (2, 2)] {
-            let legacy = train_1p5d_overlap(&net, &x, &labels, &cfg, pr, pc, model);
+            let legacy = train_1p5d_scheduled(
+                &net,
+                &x,
+                &labels,
+                &cfg,
+                pr,
+                pc,
+                model,
+                OverlapPlan::legacy(),
+            );
             let sch = train_1p5d_scheduled(
                 &net,
                 &x,
@@ -1484,7 +1315,10 @@ mod tests {
     }
 
     #[test]
-    fn legacy_plan_reproduces_legacy_engine_virtual_time_exactly() {
+    fn legacy_plan_virtual_time_is_pinned() {
+        // The legacy plan is the FIFO launch / barrier drain engine that
+        // earlier versions ran as a separate rank loop. These bits were
+        // captured from that engine; the legacy plan must keep them.
         let model = NetModel {
             alpha: 1e-5,
             beta: 1e-8,
@@ -1497,13 +1331,31 @@ mod tests {
             iters: 2,
             seed: 2,
         };
-        let legacy = train_1p5d_overlap(&net, &x, &labels, &cfg, 2, 2, model);
-        let sch = train_1p5d_scheduled(&net, &x, &labels, &cfg, 2, 2, model, OverlapPlan::legacy());
-        assert_eq!(legacy.stats.makespan(), sch.stats.makespan());
-        assert_eq!(
-            legacy.stats.total_overlapped_secs(),
-            sch.stats.total_overlapped_secs()
-        );
+        for (pr, pc, makespan, overlapped) in [
+            (2, 2, 0x3f40_6383_0fc7_fcb6_u64, 0x3bf8_0000_0000_0000_u64),
+            (4, 1, 0x3f48_611f_d588_5d32, 0),
+        ] {
+            let sch = train_1p5d_scheduled(
+                &net,
+                &x,
+                &labels,
+                &cfg,
+                pr,
+                pc,
+                model,
+                OverlapPlan::legacy(),
+            );
+            assert_eq!(
+                sch.stats.makespan().to_bits(),
+                makespan,
+                "{pr}x{pc} makespan"
+            );
+            assert_eq!(
+                sch.stats.total_overlapped_secs().to_bits(),
+                overlapped,
+                "{pr}x{pc} overlapped seconds"
+            );
+        }
     }
 
     #[test]

@@ -108,8 +108,8 @@ impl Grid {
     }
 }
 
-/// Per-iteration silent-data-corruption context for the `_sdc` GEMM
-/// wrappers: carries the iteration number (so scripted
+/// Per-iteration silent-data-corruption context of [`OpCtx::Ft`]:
+/// carries the iteration number (so scripted
 /// [`mpsim::FaultPlan`] bit flips target the right GEMM), whether ABFT
 /// verification is enabled, and a running operation counter.
 ///
@@ -221,272 +221,219 @@ fn sdc_guard(
     }
 }
 
-/// Forward: `Y_j = allgather_{Pr}(W_i · X_j)`. `w_local` is this rank's
-/// `d_out/Pr × d_in` shard; `x_local` is the full-depth `d_in × B/Pc`
-/// batch shard. Returns the assembled `d_out × B/Pc` output shard.
-pub fn forward(grid: &Grid, w_local: &Matrix, x_local: &Matrix) -> Result<Matrix> {
-    let bloc = x_local.cols();
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.rows(), w_local.cols(), bloc));
-    let y_partial = matmul(w_local, x_local);
-    if grid.pr == 1 {
-        return Ok(y_partial);
-    }
-    let blocks = allgatherv_ring(&grid.col_comm, y_partial.as_slice())?;
-    let mats: Vec<Matrix> = blocks
-        .into_iter()
-        .map(|v| {
-            let rows = v.len() / bloc;
-            Matrix::from_vec(rows, bloc, v)
-        })
-        .collect();
-    Ok(Matrix::vcat(&mats))
+/// How a 1.5D op runs its collectives and guards its local GEMMs. Every
+/// op below takes one; the op order inside each (flops → GEMM → guard →
+/// collective) is the same in both modes, so SDC op numbering and the
+/// fault-free virtual clock do not depend on the mode.
+#[derive(Clone, Copy)]
+pub enum OpCtx<'a> {
+    /// Blocking collectives without deadlines; no GEMM guard.
+    Plain,
+    /// Deadline-bound collectives that abort group-wide on a fault (see
+    /// `collectives::ft`). Every local GEMM output passes through
+    /// `sdc` before it is communicated: scripted compute bit flips land
+    /// on it, and — when `sdc.abft` is set — it is checksum-verified
+    /// and repaired (or escalated) before any corrupted word can spread.
+    Ft {
+        /// Receive policy of the fault-tolerant collectives.
+        ft: &'a FtConfig,
+        /// The iteration's silent-data-corruption context.
+        sdc: &'a SdcCtx,
+    },
 }
 
-/// Backward: given the full-depth output-gradient shard `∆Y_j`
-/// (`d_out × B/Pc`), returns `(∆W_i, ∆X_j)`:
-/// `∆W_i = allreduce_{Pc}(∆Y_{i,j}·X_jᵀ)` (this rank's `d_out/Pr × d_in`
-/// shard of the summed weight gradient) and
-/// `∆X_j = allreduce_{Pr}(W_iᵀ·∆Y_{i,j})` (the full `d_in × B/Pc` input
-/// gradient).
+impl OpCtx<'_> {
+    /// Runs [`sdc_guard`] on a fresh GEMM output (no-op when plain).
+    fn guard(
+        &self,
+        comm: &Communicator,
+        a: &Matrix,
+        b: &Matrix,
+        c: &mut Matrix,
+        kind: GemmKind,
+    ) -> Result<()> {
+        match self {
+            OpCtx::Plain => Ok(()),
+            OpCtx::Ft { sdc, .. } => sdc_guard(comm, sdc, a, b, c, kind),
+        }
+    }
+
+    fn allreduce(&self, comm: &Communicator, data: &mut [f64]) -> Result<()> {
+        match self {
+            OpCtx::Plain => allreduce(comm, data, ReduceOp::Sum),
+            OpCtx::Ft { ft, .. } => allreduce_ring_ft(comm, data, ReduceOp::Sum, ft),
+        }
+    }
+
+    /// The guarded local partial `W_i·X_j`.
+    fn y_partial(&self, grid: &Grid, w_local: &Matrix, x_local: &Matrix) -> Result<Matrix> {
+        grid.col_comm
+            .advance_flops(matmul_flops(w_local.rows(), w_local.cols(), x_local.cols()));
+        let mut y = matmul(w_local, x_local);
+        self.guard(&grid.col_comm, w_local, x_local, &mut y, GemmKind::Plain)?;
+        Ok(y)
+    }
+
+    /// The guarded local partial `∆Y_{i,j}·X_jᵀ`.
+    fn dw_partial(&self, grid: &Grid, dy_i: &Matrix, x_local: &Matrix) -> Result<Matrix> {
+        grid.row_comm
+            .advance_flops(matmul_flops(dy_i.rows(), dy_i.cols(), x_local.rows()));
+        let mut dw = matmul_a_bt(dy_i, x_local);
+        self.guard(&grid.row_comm, dy_i, x_local, &mut dw, GemmKind::ABt)?;
+        Ok(dw)
+    }
+
+    /// The guarded local partial `W_iᵀ·∆Y_{i,j}`.
+    fn dx_partial(&self, grid: &Grid, w_local: &Matrix, dy_i: &Matrix) -> Result<Matrix> {
+        grid.col_comm
+            .advance_flops(matmul_flops(w_local.cols(), w_local.rows(), dy_i.cols()));
+        let mut dx = matmul_at_b(w_local, dy_i);
+        self.guard(&grid.col_comm, w_local, dy_i, &mut dx, GemmKind::AtB)?;
+        Ok(dx)
+    }
+
+    /// Forward: `Y_j = allgather_{Pr}(W_i · X_j)`. `w_local` is this
+    /// rank's `d_out/Pr × d_in` shard; `x_local` is the full-depth
+    /// `d_in × B/Pc` batch shard. Returns the assembled `d_out × B/Pc`
+    /// output shard.
+    pub fn forward(&self, grid: &Grid, w_local: &Matrix, x_local: &Matrix) -> Result<Matrix> {
+        let bloc = x_local.cols();
+        let y_partial = self.y_partial(grid, w_local, x_local)?;
+        if grid.pr == 1 {
+            return Ok(y_partial);
+        }
+        let blocks = match self {
+            OpCtx::Plain => allgatherv_ring(&grid.col_comm, y_partial.as_slice())?,
+            OpCtx::Ft { ft, .. } => allgatherv_ring_ft(&grid.col_comm, y_partial.as_slice(), ft)?,
+        };
+        let mats: Vec<Matrix> = blocks
+            .into_iter()
+            .map(|v| {
+                let rows = v.len() / bloc;
+                Matrix::from_vec(rows, bloc, v)
+            })
+            .collect();
+        Ok(Matrix::vcat(&mats))
+    }
+
+    /// Backward: given the full-depth output-gradient shard `∆Y_j`
+    /// (`d_out × B/Pc`), returns `(∆W_i, ∆X_j)`:
+    /// `∆W_i = allreduce_{Pc}(∆Y_{i,j}·X_jᵀ)` (this rank's
+    /// `d_out/Pr × d_in` shard of the summed weight gradient) and
+    /// `∆X_j = allreduce_{Pr}(W_iᵀ·∆Y_{i,j})` (the full `d_in × B/Pc`
+    /// input gradient). Under [`OpCtx::Ft`] both partials are verified
+    /// *before* their all-reduce — a corrected flip never enters the
+    /// sum, and an escalation aborts the group before the reduction
+    /// commits.
+    pub fn backward(
+        &self,
+        grid: &Grid,
+        w_local: &Matrix,
+        x_local: &Matrix,
+        dy_local: &Matrix,
+    ) -> Result<(Matrix, Matrix)> {
+        let rows = grid.w_rows(dy_local.rows());
+        let dy_i = dy_local.row_block(rows.start, rows.end);
+        let mut dw = self.dw_partial(grid, &dy_i, x_local)?;
+        self.allreduce(&grid.row_comm, dw.as_mut_slice())?;
+        let mut dx = self.dx_partial(grid, w_local, &dy_i)?;
+        self.allreduce(&grid.col_comm, dx.as_mut_slice())?;
+        Ok((dw, dx))
+    }
+
+    /// [`OpCtx::backward`] with the ∆W all-reduce **deferred**: returns
+    /// the local partial `∆Y_{i,j}·X_jᵀ` — *not* yet summed over the
+    /// `Pc`-sized row group — and the fully reduced `∆X_j`. The caller
+    /// owns the row-group sum, typically as a bucketed non-blocking
+    /// all-reduce ([`collectives::nonblocking::iallreduce`], or
+    /// `iallreduce_ft` to keep the fault semantics) so the transfer
+    /// overlaps the remaining backward compute — the overlap engine of
+    /// `integrated::trainer::train_1p5d_scheduled`.
+    pub fn backward_dw_deferred(
+        &self,
+        grid: &Grid,
+        w_local: &Matrix,
+        x_local: &Matrix,
+        dy_local: &Matrix,
+    ) -> Result<(Matrix, Matrix)> {
+        let rows = grid.w_rows(dy_local.rows());
+        let dy_i = dy_local.row_block(rows.start, rows.end);
+        let dw = self.dw_partial(grid, &dy_i, x_local)?;
+        let mut dx = self.dx_partial(grid, w_local, &dy_i)?;
+        self.allreduce(&grid.col_comm, dx.as_mut_slice())?;
+        Ok((dw, dx))
+    }
+
+    /// [`OpCtx::backward_dw_deferred`] with the ∆X all-reduce overlapped
+    /// too: the `W_iᵀ·∆Y_{i,j}` GEMM runs *first*, its column-group sum
+    /// is launched non-blocking, and the `∆Y_{i,j}·X_jᵀ` GEMM then hides
+    /// part of the ∆X transfer before the wait. Values are bit-identical
+    /// to [`OpCtx::backward_dw_deferred`] — the two local GEMMs are
+    /// independent and the non-blocking ring reduces in the blocking
+    /// ring's exact order — but the GEMMs *execute* in the opposite
+    /// order, so the per-iteration SDC op order is (∆X, ∆W): op-indexed
+    /// fault scripts written against one schedule do not transfer to
+    /// the other.
+    pub fn backward_dx_overlap(
+        &self,
+        grid: &Grid,
+        w_local: &Matrix,
+        x_local: &Matrix,
+        dy_local: &Matrix,
+    ) -> Result<(Matrix, Matrix)> {
+        let rows = grid.w_rows(dy_local.rows());
+        let dy_i = dy_local.row_block(rows.start, rows.end);
+        let dx = self.dx_partial(grid, w_local, &dy_i)?;
+        let h = match self {
+            OpCtx::Plain => iallreduce(&grid.col_comm, dx.into_vec(), ReduceOp::Sum)?,
+            OpCtx::Ft { ft, .. } => {
+                iallreduce_ft(&grid.col_comm, dx.into_vec(), ReduceOp::Sum, ft)?
+            }
+        };
+        let dw = self.dw_partial(grid, &dy_i, x_local)?;
+        let dx = Matrix::from_vec(w_local.cols(), dy_i.cols(), h.wait()?);
+        Ok((dw, dx))
+    }
+
+    /// Starts a pipelined [`OpCtx::forward`]: computes the guarded local
+    /// partial and launches the non-blocking all-gather. Consuming every
+    /// block from the returned handle and stacking them by `part_range`
+    /// rebuilds exactly [`OpCtx::forward`]'s output (the blocks are
+    /// copied verbatim).
+    pub fn forward_start(
+        &self,
+        grid: &Grid,
+        w_local: &Matrix,
+        x_local: &Matrix,
+    ) -> Result<PipelinedForward> {
+        let y_partial = self.y_partial(grid, w_local, x_local)?;
+        PipelinedForward::launch(self, grid, y_partial)
+    }
+
+    /// Launches the gather of a partial the caller already holds — the
+    /// entry point for fused pipelines where layer `l+1`'s partial was
+    /// accumulated block-by-block while layer `l`'s gather drained (so
+    /// there is no monolithic GEMM for [`OpCtx::forward_start`] to run,
+    /// and nothing for the SDC guard to verify). Charges no flops: the
+    /// caller paid for the accumulation as it happened.
+    pub fn forward_resume(&self, grid: &Grid, y_partial: Matrix) -> Result<PipelinedForward> {
+        PipelinedForward::launch(self, grid, y_partial)
+    }
+}
+
+/// [`OpCtx::forward`] with blocking collectives.
+pub fn forward(grid: &Grid, w_local: &Matrix, x_local: &Matrix) -> Result<Matrix> {
+    OpCtx::Plain.forward(grid, w_local, x_local)
+}
+
+/// [`OpCtx::backward`] with blocking collectives.
 pub fn backward(
     grid: &Grid,
     w_local: &Matrix,
     x_local: &Matrix,
     dy_local: &Matrix,
 ) -> Result<(Matrix, Matrix)> {
-    let rows = grid.w_rows(dy_local.rows());
-    let dy_i = dy_local.row_block(rows.start, rows.end);
-    grid.row_comm
-        .advance_flops(matmul_flops(dy_i.rows(), dy_i.cols(), x_local.rows()));
-    let mut dw = matmul_a_bt(&dy_i, x_local);
-    allreduce(&grid.row_comm, dw.as_mut_slice(), ReduceOp::Sum)?;
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.cols(), w_local.rows(), dy_i.cols()));
-    let mut dx = matmul_at_b(w_local, &dy_i);
-    allreduce(&grid.col_comm, dx.as_mut_slice(), ReduceOp::Sum)?;
-    Ok((dw, dx))
-}
-
-/// [`backward`] with the ∆W all-reduce **deferred**: returns the local
-/// partial `∆Y_{i,j}·X_jᵀ` — *not* yet summed over the `Pc`-sized row
-/// group — and the fully reduced `∆X_j`. The caller owns the row-group
-/// sum, typically launching it as a bucketed non-blocking all-reduce
-/// ([`collectives::nonblocking::iallreduce`]) so the transfer overlaps
-/// the remaining backward compute (the paper's Fig. 8 executed); see
-/// `integrated::trainer::train_1p5d_overlap`.
-pub fn backward_dw_deferred(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    dy_local: &Matrix,
-) -> Result<(Matrix, Matrix)> {
-    let rows = grid.w_rows(dy_local.rows());
-    let dy_i = dy_local.row_block(rows.start, rows.end);
-    grid.row_comm
-        .advance_flops(matmul_flops(dy_i.rows(), dy_i.cols(), x_local.rows()));
-    let dw = matmul_a_bt(&dy_i, x_local);
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.cols(), w_local.rows(), dy_i.cols()));
-    let mut dx = matmul_at_b(w_local, &dy_i);
-    allreduce(&grid.col_comm, dx.as_mut_slice(), ReduceOp::Sum)?;
-    Ok((dw, dx))
-}
-
-/// Fault-tolerant [`backward_dw_deferred`]: the ∆X all-reduce is
-/// deadline-bound and aborts group-wide on a fault; the deferred ∆W sum
-/// is still the caller's responsibility (use
-/// [`collectives::nonblocking::iallreduce_ft`] so the overlapped path
-/// keeps the same failure semantics).
-pub fn backward_dw_deferred_ft(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    dy_local: &Matrix,
-    cfg: &FtConfig,
-) -> Result<(Matrix, Matrix)> {
-    let rows = grid.w_rows(dy_local.rows());
-    let dy_i = dy_local.row_block(rows.start, rows.end);
-    grid.row_comm
-        .advance_flops(matmul_flops(dy_i.rows(), dy_i.cols(), x_local.rows()));
-    let dw = matmul_a_bt(&dy_i, x_local);
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.cols(), w_local.rows(), dy_i.cols()));
-    let mut dx = matmul_at_b(w_local, &dy_i);
-    allreduce_ring_ft(&grid.col_comm, dx.as_mut_slice(), ReduceOp::Sum, cfg)?;
-    Ok((dw, dx))
-}
-
-/// Fault-tolerant [`forward`]: same data movement and fault-free cost,
-/// but the all-gather is deadline-bound and aborts group-wide on a
-/// fault (see `collectives::ft`).
-pub fn forward_ft(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    cfg: &FtConfig,
-) -> Result<Matrix> {
-    let bloc = x_local.cols();
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.rows(), w_local.cols(), bloc));
-    let y_partial = matmul(w_local, x_local);
-    if grid.pr == 1 {
-        return Ok(y_partial);
-    }
-    let blocks = allgatherv_ring_ft(&grid.col_comm, y_partial.as_slice(), cfg)?;
-    let mats: Vec<Matrix> = blocks
-        .into_iter()
-        .map(|v| {
-            let rows = v.len() / bloc;
-            Matrix::from_vec(rows, bloc, v)
-        })
-        .collect();
-    Ok(Matrix::vcat(&mats))
-}
-
-/// Fault-tolerant [`backward`]: the ∆W and ∆X all-reduces are
-/// deadline-bound, checksum-verified, and abort group-wide on a fault —
-/// a flipped bit surfaces as [`mpsim::Error::Corrupted`] instead of
-/// silently entering the weight update.
-pub fn backward_ft(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    dy_local: &Matrix,
-    cfg: &FtConfig,
-) -> Result<(Matrix, Matrix)> {
-    let rows = grid.w_rows(dy_local.rows());
-    let dy_i = dy_local.row_block(rows.start, rows.end);
-    grid.row_comm
-        .advance_flops(matmul_flops(dy_i.rows(), dy_i.cols(), x_local.rows()));
-    let mut dw = matmul_a_bt(&dy_i, x_local);
-    allreduce_ring_ft(&grid.row_comm, dw.as_mut_slice(), ReduceOp::Sum, cfg)?;
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.cols(), w_local.rows(), dy_i.cols()));
-    let mut dx = matmul_at_b(w_local, &dy_i);
-    allreduce_ring_ft(&grid.col_comm, dx.as_mut_slice(), ReduceOp::Sum, cfg)?;
-    Ok((dw, dx))
-}
-
-/// [`forward_ft`] with silent-data-corruption defense: scripted compute
-/// bit flips land on the local `W_i·X_j` product *before* the
-/// all-gather, and — when `sdc.abft` is set — the product is
-/// checksum-verified and repaired (or escalated) before any corrupted
-/// word can spread to the column group.
-pub fn forward_sdc(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    cfg: &FtConfig,
-    sdc: &SdcCtx,
-) -> Result<Matrix> {
-    let bloc = x_local.cols();
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.rows(), w_local.cols(), bloc));
-    let mut y_partial = matmul(w_local, x_local);
-    sdc_guard(
-        &grid.col_comm,
-        sdc,
-        w_local,
-        x_local,
-        &mut y_partial,
-        GemmKind::Plain,
-    )?;
-    if grid.pr == 1 {
-        return Ok(y_partial);
-    }
-    let blocks = allgatherv_ring_ft(&grid.col_comm, y_partial.as_slice(), cfg)?;
-    let mats: Vec<Matrix> = blocks
-        .into_iter()
-        .map(|v| {
-            let rows = v.len() / bloc;
-            Matrix::from_vec(rows, bloc, v)
-        })
-        .collect();
-    Ok(Matrix::vcat(&mats))
-}
-
-/// [`backward_ft`] with silent-data-corruption defense on both local
-/// GEMMs (`∆Y_{i,j}·X_jᵀ` and `W_iᵀ·∆Y_{i,j}`). Verification happens on
-/// the *local* partials, before either all-reduce — a corrected flip
-/// never enters the sum, and an escalation aborts the group before the
-/// reduction commits.
-pub fn backward_sdc(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    dy_local: &Matrix,
-    cfg: &FtConfig,
-    sdc: &SdcCtx,
-) -> Result<(Matrix, Matrix)> {
-    let rows = grid.w_rows(dy_local.rows());
-    let dy_i = dy_local.row_block(rows.start, rows.end);
-    grid.row_comm
-        .advance_flops(matmul_flops(dy_i.rows(), dy_i.cols(), x_local.rows()));
-    let mut dw = matmul_a_bt(&dy_i, x_local);
-    sdc_guard(&grid.row_comm, sdc, &dy_i, x_local, &mut dw, GemmKind::ABt)?;
-    allreduce_ring_ft(&grid.row_comm, dw.as_mut_slice(), ReduceOp::Sum, cfg)?;
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.cols(), w_local.rows(), dy_i.cols()));
-    let mut dx = matmul_at_b(w_local, &dy_i);
-    sdc_guard(&grid.col_comm, sdc, w_local, &dy_i, &mut dx, GemmKind::AtB)?;
-    allreduce_ring_ft(&grid.col_comm, dx.as_mut_slice(), ReduceOp::Sum, cfg)?;
-    Ok((dw, dx))
-}
-
-/// [`backward_dw_deferred`] with the ∆X all-reduce overlapped too: the
-/// `W_iᵀ·∆Y_{i,j}` GEMM runs *first*, its column-group sum is launched
-/// non-blocking, and the `∆Y_{i,j}·X_jᵀ` GEMM then hides part of the ∆X
-/// transfer before the wait. Values are bit-identical to
-/// [`backward_dw_deferred`] — the two local GEMMs are independent and
-/// the non-blocking ring reduces in the blocking ring's exact order —
-/// but note the GEMMs *execute* in the opposite order, which matters
-/// only to op-indexed fault scripts (see [`backward_dx_overlap_sdc`]).
-pub fn backward_dx_overlap(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    dy_local: &Matrix,
-) -> Result<(Matrix, Matrix)> {
-    let rows = grid.w_rows(dy_local.rows());
-    let dy_i = dy_local.row_block(rows.start, rows.end);
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.cols(), w_local.rows(), dy_i.cols()));
-    let dx = matmul_at_b(w_local, &dy_i);
-    let h = iallreduce(&grid.col_comm, dx.into_vec(), ReduceOp::Sum)?;
-    grid.row_comm
-        .advance_flops(matmul_flops(dy_i.rows(), dy_i.cols(), x_local.rows()));
-    let dw = matmul_a_bt(&dy_i, x_local);
-    let dx = Matrix::from_vec(w_local.cols(), dy_i.cols(), h.wait()?);
-    Ok((dw, dx))
-}
-
-/// [`backward_dx_overlap`] with silent-data-corruption defense and a
-/// deadline-bound ∆X sum. Because the ∆X GEMM runs before the ∆W GEMM
-/// here, the per-iteration SDC op order is (∆X, ∆W) — the reverse of
-/// [`backward_dw_deferred_sdc`] — so op-indexed fault scripts written
-/// against one schedule do not transfer to the other.
-pub fn backward_dx_overlap_sdc(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    dy_local: &Matrix,
-    cfg: &FtConfig,
-    sdc: &SdcCtx,
-) -> Result<(Matrix, Matrix)> {
-    let rows = grid.w_rows(dy_local.rows());
-    let dy_i = dy_local.row_block(rows.start, rows.end);
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.cols(), w_local.rows(), dy_i.cols()));
-    let mut dx = matmul_at_b(w_local, &dy_i);
-    sdc_guard(&grid.col_comm, sdc, w_local, &dy_i, &mut dx, GemmKind::AtB)?;
-    let h = iallreduce_ft(&grid.col_comm, dx.into_vec(), ReduceOp::Sum, cfg)?;
-    grid.row_comm
-        .advance_flops(matmul_flops(dy_i.rows(), dy_i.cols(), x_local.rows()));
-    let mut dw = matmul_a_bt(&dy_i, x_local);
-    sdc_guard(&grid.row_comm, sdc, &dy_i, x_local, &mut dw, GemmKind::ABt)?;
-    let dx = Matrix::from_vec(w_local.cols(), dy_i.cols(), h.wait()?);
-    Ok((dw, dx))
+    OpCtx::Plain.backward(grid, w_local, x_local, dy_local)
 }
 
 /// A forward layer in flight: the local `W_i·X_j` partial has been
@@ -505,6 +452,26 @@ pub struct PipelinedForward {
 }
 
 impl PipelinedForward {
+    fn launch(ctx: &OpCtx, grid: &Grid, y_partial: Matrix) -> Result<PipelinedForward> {
+        let bloc = y_partial.cols();
+        if grid.pr == 1 {
+            return Ok(PipelinedForward {
+                local: Some(y_partial),
+                handle: None,
+                bloc,
+            });
+        }
+        let handle = match ctx {
+            OpCtx::Plain => iallgatherv(&grid.col_comm, y_partial.as_slice())?,
+            OpCtx::Ft { ft, .. } => iallgatherv_ft(&grid.col_comm, y_partial.as_slice(), ft)?,
+        };
+        Ok(PipelinedForward {
+            local: None,
+            handle: Some(handle),
+            bloc,
+        })
+    }
+
     /// The next row block of `Y_j` as `(col_rank, rows_matrix)`, or
     /// `None` when all `Pr` blocks have been delivered. The row range
     /// the block occupies is `part_range(d_out, pr, col_rank)`.
@@ -523,134 +490,6 @@ impl PipelinedForward {
             },
         }
     }
-}
-
-/// Starts a pipelined [`forward`]: computes the local partial and
-/// launches the non-blocking all-gather. Consuming every block from the
-/// returned handle and stacking them by `part_range` rebuilds exactly
-/// [`forward`]'s output (the blocks are copied verbatim).
-pub fn forward_start(grid: &Grid, w_local: &Matrix, x_local: &Matrix) -> Result<PipelinedForward> {
-    forward_start_inner(grid, w_local, x_local, None, None)
-}
-
-/// [`forward_start`] with deadline-bound chunk receives (group abort on
-/// fault) and optional silent-data-corruption defense on the local
-/// partial, mirroring [`forward_sdc`].
-pub fn forward_start_sdc(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    cfg: &FtConfig,
-    sdc: &SdcCtx,
-) -> Result<PipelinedForward> {
-    forward_start_inner(grid, w_local, x_local, Some(cfg), Some(sdc))
-}
-
-fn forward_start_inner(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    cfg: Option<&FtConfig>,
-    sdc: Option<&SdcCtx>,
-) -> Result<PipelinedForward> {
-    let bloc = x_local.cols();
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.rows(), w_local.cols(), bloc));
-    let mut y_partial = matmul(w_local, x_local);
-    if let Some(sdc) = sdc {
-        sdc_guard(
-            &grid.col_comm,
-            sdc,
-            w_local,
-            x_local,
-            &mut y_partial,
-            GemmKind::Plain,
-        )?;
-    }
-    if grid.pr == 1 {
-        return Ok(PipelinedForward {
-            local: Some(y_partial),
-            handle: None,
-            bloc,
-        });
-    }
-    let handle = match cfg {
-        Some(cfg) => iallgatherv_ft(&grid.col_comm, y_partial.as_slice(), cfg)?,
-        None => iallgatherv(&grid.col_comm, y_partial.as_slice())?,
-    };
-    Ok(PipelinedForward {
-        local: None,
-        handle: Some(handle),
-        bloc,
-    })
-}
-
-/// Launches the gather of a partial the caller already holds — the
-/// entry point for fused pipelines where layer `l+1`'s partial was
-/// accumulated block-by-block while layer `l`'s gather drained (so
-/// there is no monolithic GEMM for [`forward_start`] to run). Charges
-/// no flops: the caller paid for the accumulation as it happened.
-pub fn forward_resume(grid: &Grid, y_partial: Matrix) -> Result<PipelinedForward> {
-    forward_resume_inner(grid, y_partial, None)
-}
-
-/// [`forward_resume`] with deadline-bound chunk receives.
-pub fn forward_resume_ft(
-    grid: &Grid,
-    y_partial: Matrix,
-    cfg: &FtConfig,
-) -> Result<PipelinedForward> {
-    forward_resume_inner(grid, y_partial, Some(cfg))
-}
-
-fn forward_resume_inner(
-    grid: &Grid,
-    y_partial: Matrix,
-    cfg: Option<&FtConfig>,
-) -> Result<PipelinedForward> {
-    let bloc = y_partial.cols();
-    if grid.pr == 1 {
-        return Ok(PipelinedForward {
-            local: Some(y_partial),
-            handle: None,
-            bloc,
-        });
-    }
-    let handle = match cfg {
-        Some(cfg) => iallgatherv_ft(&grid.col_comm, y_partial.as_slice(), cfg)?,
-        None => iallgatherv(&grid.col_comm, y_partial.as_slice())?,
-    };
-    Ok(PipelinedForward {
-        local: None,
-        handle: Some(handle),
-        bloc,
-    })
-}
-
-/// [`backward_dw_deferred_ft`] with silent-data-corruption defense:
-/// both local GEMMs are flip-injected and (when enabled) verified; the
-/// returned ∆W partial is already clean, so the caller's overlapped
-/// non-blocking row-group sum reduces verified data.
-pub fn backward_dw_deferred_sdc(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    dy_local: &Matrix,
-    cfg: &FtConfig,
-    sdc: &SdcCtx,
-) -> Result<(Matrix, Matrix)> {
-    let rows = grid.w_rows(dy_local.rows());
-    let dy_i = dy_local.row_block(rows.start, rows.end);
-    grid.row_comm
-        .advance_flops(matmul_flops(dy_i.rows(), dy_i.cols(), x_local.rows()));
-    let mut dw = matmul_a_bt(&dy_i, x_local);
-    sdc_guard(&grid.row_comm, sdc, &dy_i, x_local, &mut dw, GemmKind::ABt)?;
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.cols(), w_local.rows(), dy_i.cols()));
-    let mut dx = matmul_at_b(w_local, &dy_i);
-    sdc_guard(&grid.col_comm, sdc, w_local, &dy_i, &mut dx, GemmKind::AtB)?;
-    allreduce_ring_ft(&grid.col_comm, dx.as_mut_slice(), ReduceOp::Sum, cfg)?;
-    Ok((dw, dx))
 }
 
 #[cfg(test)]
@@ -817,8 +656,13 @@ mod tests {
             let wl = row_shard(&r.w, pr, grid.i);
             let xl = col_shard(&r.x, pc, grid.j);
             let dyl = col_shard(&r.dy, pc, grid.j);
-            let y = forward_ft(&grid, &wl, &xl, &cfg).unwrap();
-            let (dw, dx) = backward_ft(&grid, &wl, &xl, &dyl, &cfg).unwrap();
+            let sdc = SdcCtx::new(0, false);
+            let ctx = OpCtx::Ft {
+                ft: &cfg,
+                sdc: &sdc,
+            };
+            let y = ctx.forward(&grid, &wl, &xl).unwrap();
+            let (dw, dx) = ctx.backward(&grid, &wl, &xl, &dyl).unwrap();
             (y, dw, dx, comm.now())
         });
         for ((y0, dw0, dx0, t0), (y1, dw1, dx1, t1)) in plain.iter().zip(&ft) {
@@ -838,7 +682,9 @@ mod tests {
             let xl = col_shard(&r.x, pc, grid.j);
             let dyl = col_shard(&r.dy, pc, grid.j);
             let (dw_ref, dx_ref) = backward(&grid, &wl, &xl, &dyl).unwrap();
-            let (mut dw, dx) = backward_dw_deferred(&grid, &wl, &xl, &dyl).unwrap();
+            let (mut dw, dx) = OpCtx::Plain
+                .backward_dw_deferred(&grid, &wl, &xl, &dyl)
+                .unwrap();
             allreduce(&grid.row_comm, dw.as_mut_slice(), ReduceOp::Sum).unwrap();
             (dw_ref, dx_ref, dw, dx)
         });
@@ -857,8 +703,12 @@ mod tests {
                 let wl = row_shard(&r.w, pr, grid.i);
                 let xl = col_shard(&r.x, pc, grid.j);
                 let dyl = col_shard(&r.dy, pc, grid.j);
-                let (dw_ref, dx_ref) = backward_dw_deferred(&grid, &wl, &xl, &dyl).unwrap();
-                let (dw, dx) = backward_dx_overlap(&grid, &wl, &xl, &dyl).unwrap();
+                let (dw_ref, dx_ref) = OpCtx::Plain
+                    .backward_dw_deferred(&grid, &wl, &xl, &dyl)
+                    .unwrap();
+                let (dw, dx) = OpCtx::Plain
+                    .backward_dx_overlap(&grid, &wl, &xl, &dyl)
+                    .unwrap();
                 (dw_ref, dx_ref, dw, dx)
             });
             for (g, (dw_ref, dx_ref, dw, dx)) in out.iter().enumerate() {
@@ -884,7 +734,9 @@ mod tests {
             let wl = row_shard(&r.w, pr, grid.i);
             let xl = col_shard(&r.x, pc, grid.j);
             let dyl = col_shard(&r.dy, pc, grid.j);
-            backward_dx_overlap(&grid, &wl, &xl, &dyl).unwrap();
+            OpCtx::Plain
+                .backward_dx_overlap(&grid, &wl, &xl, &dyl)
+                .unwrap();
         });
         assert!(
             stats.total_overlapped_secs() > 0.0,
@@ -901,7 +753,7 @@ mod tests {
                 let wl = row_shard(&r.w, pr, grid.i);
                 let xl = col_shard(&r.x, pc, grid.j);
                 let y_ref = forward(&grid, &wl, &xl).unwrap();
-                let mut pf = forward_start(&grid, &wl, &xl).unwrap();
+                let mut pf = OpCtx::Plain.forward_start(&grid, &wl, &xl).unwrap();
                 let mut blocks: Vec<Option<Matrix>> = vec![None; pr];
                 let mut arrivals = Vec::new();
                 while let Some((src, block)) = pf.next_block().unwrap() {
@@ -938,7 +790,11 @@ mod tests {
             let wl = row_shard(&r.w, pr, grid.i);
             let xl = col_shard(&r.x, pc, grid.j);
             let sdc = SdcCtx::new(0, true);
-            let mut pf = forward_start_sdc(&grid, &wl, &xl, &cfg, &sdc).unwrap();
+            let ctx = OpCtx::Ft {
+                ft: &cfg,
+                sdc: &sdc,
+            };
+            let mut pf = ctx.forward_start(&grid, &wl, &xl).unwrap();
             let mut blocks: Vec<Option<Matrix>> = vec![None; pr];
             while let Some((src, block)) = pf.next_block().unwrap() {
                 blocks[src] = Some(block);
@@ -990,8 +846,12 @@ mod tests {
                 let xl = col_shard(&r.x, pc, grid.j);
                 let dyl = col_shard(&r.dy, pc, grid.j);
                 let sdc = SdcCtx::new(0, abft);
-                let y = forward_sdc(&grid, &wl, &xl, &cfg, &sdc).unwrap();
-                let (dw, dx) = backward_sdc(&grid, &wl, &xl, &dyl, &cfg, &sdc).unwrap();
+                let ctx = OpCtx::Ft {
+                    ft: &cfg,
+                    sdc: &sdc,
+                };
+                let y = ctx.forward(&grid, &wl, &xl).unwrap();
+                let (dw, dx) = ctx.backward(&grid, &wl, &xl, &dyl).unwrap();
                 assert_eq!(sdc.ops_done(), 3, "forward + dW + dX");
                 (y, dw, dx)
             })
@@ -1027,8 +887,12 @@ mod tests {
             let xl = col_shard(&r.x, pc, grid.j);
             let dyl = col_shard(&r.dy, pc, grid.j);
             let sdc = SdcCtx::new(0, true);
-            let y = forward_sdc(&grid, &wl, &xl, &cfg, &sdc).unwrap();
-            let (dw, dx) = backward_sdc(&grid, &wl, &xl, &dyl, &cfg, &sdc).unwrap();
+            let ctx = OpCtx::Ft {
+                ft: &cfg,
+                sdc: &sdc,
+            };
+            let y = ctx.forward(&grid, &wl, &xl).unwrap();
+            let (dw, dx) = ctx.backward(&grid, &wl, &xl, &dyl).unwrap();
             (y, dw, dx)
         });
         assert_eq!(out, clean, "both flips repaired bit-exactly");
@@ -1054,7 +918,11 @@ mod tests {
             let wl = row_shard(&r.w, pr, grid.i);
             let xl = col_shard(&r.x, pc, grid.j);
             let sdc = SdcCtx::new(0, true);
-            forward_sdc(&grid, &wl, &xl, &cfg, &sdc)
+            OpCtx::Ft {
+                ft: &cfg,
+                sdc: &sdc,
+            }
+            .forward(&grid, &wl, &xl)
         });
         match &out[1] {
             Err(Error::SilentCorruption {
@@ -1100,7 +968,12 @@ mod tests {
             let wl = row_shard(&r.w, pr, grid.i);
             let xl = col_shard(&r.x, pc, grid.j);
             let sdc = SdcCtx::new(0, false);
-            forward_sdc(&grid, &wl, &xl, &cfg, &sdc).unwrap()
+            OpCtx::Ft {
+                ft: &cfg,
+                sdc: &sdc,
+            }
+            .forward(&grid, &wl, &xl)
+            .unwrap()
         });
         assert_eq!(stats.total_bitflips_compute(), 1, "flip was injected");
         assert_eq!(stats.total_corrupt_detected(), 0, "nobody noticed");

@@ -12,10 +12,10 @@ use integrated_parallelism::collectives::FtConfig;
 use integrated_parallelism::dnn::zoo::mlp;
 use integrated_parallelism::integrated::cost::best_grid;
 use integrated_parallelism::integrated::ft_trainer::{train_1p5d_ft, FtTrainConfig};
-use integrated_parallelism::integrated::overlap::PAPER_BACKPROP_FRACTION;
+use integrated_parallelism::integrated::overlap::{OverlapPlan, PAPER_BACKPROP_FRACTION};
 use integrated_parallelism::integrated::report::fmt_seconds;
 use integrated_parallelism::integrated::trainer::{
-    synthetic_data, train_1p5d, train_1p5d_overlap, train_1p5d_overlap_traced, train_serial,
+    synthetic_data, train_1p5d, train_1p5d_scheduled, train_1p5d_scheduled_traced, train_serial,
     TrainConfig,
 };
 use integrated_parallelism::integrated::MachineModel;
@@ -84,7 +84,16 @@ fn main() {
     // ------------------------------------------------------------------
     println!("\nexecuted comm/compute overlap on the 2x4 grid:");
     let ser = train_1p5d(&net, &x, &labels, &cfg, 2, 4, NetModel::cori_knl());
-    let ovl = train_1p5d_overlap(&net, &x, &labels, &cfg, 2, 4, NetModel::cori_knl());
+    let ovl = train_1p5d_scheduled(
+        &net,
+        &x,
+        &labels,
+        &cfg,
+        2,
+        4,
+        NetModel::cori_knl(),
+        OverlapPlan::legacy(),
+    );
     println!(
         "  serialized {}  overlapped {}  ({:.1}% saved; trajectories identical)",
         fmt_seconds(ser.stats.makespan()),
@@ -116,7 +125,7 @@ fn main() {
     // Trace Event JSON, loadable as-is in a timeline viewer.
     // ------------------------------------------------------------------
     println!("\ntraced rerun of the 2x4 overlapped training:");
-    let (traced, trace) = train_1p5d_overlap_traced(
+    let (traced, trace) = train_1p5d_scheduled_traced(
         &net,
         &x,
         &labels,
@@ -125,6 +134,7 @@ fn main() {
         4,
         NetModel::cori_knl(),
         TraceConfig::enabled(),
+        OverlapPlan::legacy(),
     );
     assert_eq!(
         traced.stats.makespan(),

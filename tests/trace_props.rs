@@ -11,9 +11,10 @@ use proptest::prelude::*;
 use integrated_parallelism::collectives::ft::FtConfig;
 use integrated_parallelism::dnn::zoo::mlp_tiny;
 use integrated_parallelism::integrated::ft_trainer::{train_1p5d_ft_traced, FtTrainConfig};
+use integrated_parallelism::integrated::overlap::OverlapPlan;
 use integrated_parallelism::integrated::trainer::{
-    synthetic_data, train_1p5d, train_1p5d_overlap, train_1p5d_overlap_traced, train_1p5d_traced,
-    TrainConfig,
+    synthetic_data, train_1p5d, train_1p5d_scheduled, train_1p5d_scheduled_traced,
+    train_1p5d_traced, TrainConfig,
 };
 use integrated_parallelism::integrated::MachineModel;
 use integrated_parallelism::mpsim::{
@@ -53,6 +54,16 @@ fn check_rank(rt: &RankTrace) -> Result<(), TestCaseError> {
             );
             if e.kind == EventKind::Instant {
                 prop_assert_eq!(e.t0, e.t1, "instant with extent");
+            }
+            // Both trainers run one iteration body, whose phase events
+            // name the iteration they belong to.
+            if e.cat == "trainer" && ["forward", "backward", "optimizer_step"].contains(&e.name) {
+                prop_assert!(
+                    e.arg("iter").is_some(),
+                    "rank {} {label}: trainer/{} without an iter arg",
+                    rt.rank,
+                    e.name
+                );
             }
         }
 
@@ -246,8 +257,8 @@ proptest! {
         }
         check_against_stats(&st, &ser.stats)?;
 
-        let (ovl, ot) = train_1p5d_overlap_traced(
-            &net, &x, &labels, &cfg, pr, pc, model, TraceConfig::enabled(),
+        let (ovl, ot) = train_1p5d_scheduled_traced(
+            &net, &x, &labels, &cfg, pr, pc, model, TraceConfig::enabled(), OverlapPlan::legacy(),
         );
         for rt in &ot.ranks {
             check_rank(rt)?;
@@ -310,8 +321,17 @@ fn tracing_adds_zero_overhead_to_the_virtual_clock() {
         }
         assert_eq!(plain.losses(), on.losses());
 
-        let ovl = train_1p5d_overlap(&net, &x, &labels, &cfg, pr, pc, model);
-        let (ovl_on, _) = train_1p5d_overlap_traced(
+        let ovl = train_1p5d_scheduled(
+            &net,
+            &x,
+            &labels,
+            &cfg,
+            pr,
+            pc,
+            model,
+            OverlapPlan::legacy(),
+        );
+        let (ovl_on, _) = train_1p5d_scheduled_traced(
             &net,
             &x,
             &labels,
@@ -320,6 +340,7 @@ fn tracing_adds_zero_overhead_to_the_virtual_clock() {
             pc,
             model,
             TraceConfig::enabled(),
+            OverlapPlan::legacy(),
         );
         assert_eq!(
             ovl.stats.makespan().to_bits(),
