@@ -3032,4 +3032,126 @@ mod tests {
         assert!(suspect, "moderate silence flags suspect (φ = {phi_mid})");
         assert_eq!(stats.ranks[1].suspects_flagged, 1);
     }
+
+    /// The three deadline-bound receive entry points.
+    #[derive(Clone, Copy, Debug)]
+    enum RecvKind {
+        Timeout,
+        IrecvWait,
+        Channel,
+    }
+
+    /// One deadline-bound receive from rank 0 on tag 7. On success
+    /// returns the payload and the completion time: the main clock for
+    /// the blocking kinds, the channel's `ready_at` for `Channel`.
+    fn recv_kind(comm: &Communicator, kind: RecvKind, timeout: f64) -> Result<(Vec<f64>, u64)> {
+        match kind {
+            RecvKind::Timeout => comm.recv_timeout(0, 7, timeout),
+            RecvKind::IrecvWait => comm.wait(comm.irecv_timeout(0, 7, timeout)?),
+            RecvKind::Channel => {
+                return comm
+                    .recv_channel_deadline(0, 7, Some(timeout))
+                    .map(|c| (c.data, c.ready_at.to_bits()))
+            }
+        }
+        .map(|v| (v, comm.now().to_bits()))
+    }
+
+    /// Pins every deadline-bound receive path bit for bit: for each
+    /// entry point × {on time, late then re-received, dropped, dead
+    /// peer}, the results, the receiver's final clock and its
+    /// timeout/transfer/channel/straggler counters.
+    #[test]
+    fn deadline_receive_modes_are_pinned() {
+        let model = NetModel {
+            alpha: 0.3,
+            beta: 0.07,
+            flops: f64::INFINITY,
+        };
+        let late_plan = || crate::FaultPlan::new(1).straggle(0, 1, 10.0, 0.0, crate::Span::Once(0));
+        let columns: [(&str, fn() -> crate::FaultPlan, &[f64]); 4] = [
+            ("on_time", || crate::FaultPlan::new(1), &[5.0]),
+            ("late", late_plan, &[2.0, 20.0]),
+            (
+                "dropped",
+                || crate::FaultPlan::new(1).drop_nth(0, 1, 0),
+                &[5.0],
+            ),
+            ("dead", || crate::FaultPlan::new(1).kill(0, 0.05), &[5.0]),
+        ];
+        type Pin = (Vec<Result<(Vec<f64>, u64)>>, u64, u64, u64, u64, u64);
+        let timeout = |waited: u64| {
+            Err(Error::Timeout {
+                rank: 0,
+                tag: 7,
+                waited: f64::from_bits(waited),
+            })
+        };
+        let data = |t: u64| Ok((vec![1.0, 2.0, 3.0], t));
+        let dead = || Err(Error::RankFailed { rank: 0 });
+        // Sender departs at 0.1, so the on-time message lands at
+        // 0.1 + 0.3 + 3·0.07 on the main clock or the channel. `wait`
+        // sums `depart + α + β·w` left to right, one ulp above the other
+        // two, and reports a late timeout as `deadline − now`.
+        let ok = 0x3fe3851eb851eb85;
+        let late = 0x40253851eb851eb8;
+        let xfer = 0x3fe051eb851eb852;
+        let strag = 0x4024000000000000;
+        let drop_now = 0x40140a3d70a3d70a;
+        let dead_now = 0x3fa999999999999a;
+        let (two, five) = (2f64.to_bits(), 5f64.to_bits());
+        // (results, now, timeouts, transfer_secs, channel_secs, straggler_wait)
+        let expected: [[Pin; 4]; 3] = [
+            [
+                (vec![data(ok)], ok, 0, xfer, 0, 0),
+                (vec![timeout(two), data(late)], late, 1, xfer, 0, strag),
+                (vec![timeout(five)], drop_now, 1, 0, 0, 0),
+                (vec![dead()], dead_now, 0, 0, 0, 0),
+            ],
+            [
+                (vec![data(ok + 1)], ok + 1, 0, xfer, 0, 0),
+                (vec![timeout(two - 1), data(late)], late, 1, xfer, 0, strag),
+                (vec![timeout(five)], drop_now, 1, 0, 0, 0),
+                (vec![dead()], dead_now, 0, 0, 0, 0),
+            ],
+            [
+                (vec![data(ok)], 0.01f64.to_bits(), 0, 0, xfer, 0),
+                (
+                    vec![timeout(two), data(late)],
+                    0x4000147ae147ae14,
+                    1,
+                    0,
+                    xfer,
+                    strag,
+                ),
+                (vec![timeout(five)], drop_now, 1, 0, 0, 0),
+                (vec![dead()], dead_now, 0, 0, 0, 0),
+            ],
+        ];
+        let kinds = [RecvKind::Timeout, RecvKind::IrecvWait, RecvKind::Channel];
+        for (kind, row) in kinds.into_iter().zip(&expected) {
+            for ((name, plan, timeouts), want) in columns.iter().zip(row) {
+                let (out, stats) = World::run_with_faults(2, model, plan(), |comm| {
+                    if comm.rank() == 0 {
+                        comm.advance_compute(0.1);
+                        let _ = comm.send(1, 7, &[1.0, 2.0, 3.0]);
+                        vec![]
+                    } else {
+                        comm.advance_compute(0.01);
+                        timeouts.iter().map(|&t| recv_kind(comm, kind, t)).collect()
+                    }
+                });
+                let s = &stats.ranks[1];
+                let got: Pin = (
+                    out[1].clone(),
+                    stats.clocks[1].now.to_bits(),
+                    s.timeouts,
+                    s.transfer_secs.to_bits(),
+                    s.channel_secs.to_bits(),
+                    s.straggler_wait.to_bits(),
+                );
+                assert_eq!(&got, want, "{kind:?} × {name}");
+            }
+        }
+    }
 }
