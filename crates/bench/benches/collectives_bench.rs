@@ -23,7 +23,7 @@ fn bench_allreduce(c: &mut Criterion) {
         b.iter(|| {
             World::run(P, NetModel::cori_knl(), |comm| {
                 let mut data = vec![comm.rank() as f64; N];
-                allreduce_ring(comm, &mut data, ReduceOp::Sum).unwrap();
+                allreduce_ring(comm, &mut data, ReduceOp::Sum, None).unwrap();
                 black_box(data[0])
             })
         })
@@ -64,7 +64,7 @@ fn bench_allgather(c: &mut Criterion) {
         b.iter(|| {
             World::run(P, NetModel::cori_knl(), |comm| {
                 let mine = vec![comm.rank() as f64; N / P];
-                black_box(allgather_ring(comm, &mine).unwrap().len())
+                black_box(allgather_ring(comm, &mine, None).unwrap().len())
             })
         })
     });

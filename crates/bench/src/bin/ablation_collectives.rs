@@ -43,7 +43,9 @@ fn main() {
     // splits evenly.
     for exp in [4usize, 8, 12, 16, 20] {
         let n = 1usize << exp;
-        let ring = timed(p, n, |c, d| allreduce_ring(c, d, ReduceOp::Sum).unwrap());
+        let ring = timed(p, n, |c, d| {
+            allreduce_ring(c, d, ReduceOp::Sum, None).unwrap()
+        });
         let rd = timed(p, n, |c, d| {
             allreduce_recursive_doubling(c, d, ReduceOp::Sum).unwrap()
         });

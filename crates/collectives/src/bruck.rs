@@ -129,7 +129,7 @@ mod tests {
             comm.now()
         });
         let ring = World::run(p, model, |comm| {
-            allgather_ring(comm, &[1.0]).unwrap();
+            allgather_ring(comm, &[1.0], None).unwrap();
             comm.now()
         });
         assert!((bruck[0] - 4.0).abs() < 1e-12, "log2(16) rounds");
@@ -144,7 +144,7 @@ mod tests {
                 allgather_bruck(comm, &rank_block(comm.rank(), m)).unwrap()
             });
             let b = World::run(p, NetModel::free(), move |comm| {
-                allgather_ring(comm, &rank_block(comm.rank(), m)).unwrap()
+                allgather_ring(comm, &rank_block(comm.rank(), m), None).unwrap()
             });
             prop_assert_eq!(a, b);
         }

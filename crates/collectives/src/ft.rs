@@ -1,13 +1,15 @@
-//! Fault-tolerant collective variants.
+//! Fault tolerance for the collectives: the [`FtConfig`] receive policy
+//! and the abort guard.
 //!
-//! The plain collectives in this crate assume a reliable network and
-//! live peers: a dropped message would block a ring step forever, and a
-//! mid-collective rank death would leave every other member stuck. The
-//! `_ft` variants here wrap the same algorithms (identical data
-//! movement and α–β cost in the fault-free case) in three defenses:
+//! The collectives in this crate assume a reliable network and live
+//! peers unless they are handed an `ft: Some(&FtConfig)`: a dropped
+//! message would then block a ring step forever, and a mid-collective
+//! rank death would leave every other member stuck. With a policy the
+//! same algorithm (identical data movement and α–β cost in the
+//! fault-free case) gains three defenses:
 //!
 //! 1. **Timeout-aware receives** — every blocking receive uses
-//!    [`mpsim::Communicator::recv_retry`] with the [`FtConfig`]
+//!    [`mpsim::Communicator::recv_retry_policy`] with the [`FtConfig`]
 //!    deadline, so a dropped or straggling message surfaces as
 //!    [`mpsim::Error::Timeout`] after a bounded, virtual-clock-charged
 //!    wait instead of hanging.
@@ -35,16 +37,6 @@
 //! implements.
 
 use mpsim::{Communicator, Error, NetModel, Result, RetryPolicy, Tag};
-
-use crate::chunks::block_range;
-use crate::op::ReduceOp;
-use crate::recursive::is_pow2;
-
-const FT_RS_TAG: Tag = (1 << 48) + 96;
-const FT_AG_TAG: Tag = (1 << 48) + 97;
-const FT_RD_TAG: Tag = (1 << 48) + 98;
-const FT_HALO_UP_TAG: Tag = (1 << 48) + 99;
-const FT_HALO_DOWN_TAG: Tag = (1 << 48) + 100;
 
 /// How the per-receive deadline of a fault-tolerant collective is
 /// chosen.
@@ -216,11 +208,16 @@ pub(crate) fn blame(comm: &Communicator, e: &Error) -> Option<usize> {
     }
 }
 
-/// Runs a collective body; on a fault error, broadcasts (or cascades)
-/// an abort blaming the culprit before propagating the error.
-fn guarded<T>(comm: &Communicator, body: impl FnOnce() -> Result<T>) -> Result<T> {
+/// Runs a collective body; under a policy, a fault error first
+/// broadcasts (or cascades) an abort blaming the culprit, then
+/// propagates.
+pub(crate) fn guarded<T>(
+    comm: &Communicator,
+    ft: Option<&FtConfig>,
+    body: impl FnOnce() -> Result<T>,
+) -> Result<T> {
     body().inspect_err(|e| {
-        if let Some(culprit) = blame(comm, e) {
+        if let Some(culprit) = ft.and_then(|_| blame(comm, e)) {
             // Best effort: if this rank dies while aborting, its death
             // notice keeps the group live anyway.
             let _ = comm.send_abort(culprit);
@@ -228,7 +225,18 @@ fn guarded<T>(comm: &Communicator, body: impl FnOnce() -> Result<T>) -> Result<T
     })
 }
 
-fn recv_ft(comm: &Communicator, src: usize, tag: Tag, cfg: &FtConfig) -> Result<Vec<f64>> {
+/// One blocking receive of a collective step: a plain
+/// [`Communicator::recv`] without a policy, else the policy's
+/// deadline-bound retries.
+pub(crate) fn recv(
+    comm: &Communicator,
+    src: usize,
+    tag: Tag,
+    ft: Option<&FtConfig>,
+) -> Result<Vec<f64>> {
+    let Some(cfg) = ft else {
+        return comm.recv(src, tag);
+    };
     let timeout = cfg.deadline.resolve(comm, src);
     let policy = RetryPolicy {
         timeout,
@@ -249,205 +257,13 @@ fn recv_ft(comm: &Communicator, src: usize, tag: Tag, cfg: &FtConfig) -> Result<
     }
 }
 
-/// Fault-tolerant ring all-reduce. Fault-free behavior (values, traffic,
-/// virtual time) is identical to [`crate::ring::allreduce_ring`]; under
-/// faults it returns an error on every member (directly or via the
-/// abort cascade) instead of hanging.
-pub fn allreduce_ring_ft(
-    comm: &Communicator,
-    data: &mut [f64],
-    op: ReduceOp,
-    cfg: &FtConfig,
-) -> Result<()> {
-    comm.record_allreduce();
-    let p = comm.size();
-    if p == 1 {
-        return Ok(());
-    }
-    let _span = comm.trace_span(
-        "collective",
-        "allreduce_ring_ft",
-        &[("p", p as f64), ("words", data.len() as f64)],
-    );
-    guarded(comm, || {
-        let r = comm.rank();
-        let n = data.len();
-        let next = (r + 1) % p;
-        let prev = (r + p - 1) % p;
-        // Reduce-scatter phase.
-        for step in 0..p - 1 {
-            let send_idx = (r + p - step) % p;
-            let recv_idx = (r + p - step - 1) % p;
-            let send_block = data[block_range(n, p, send_idx)].to_vec();
-            comm.send_vec(next, FT_RS_TAG, send_block)?;
-            let incoming = recv_ft(comm, prev, FT_RS_TAG, cfg)?;
-            op.apply(&mut data[block_range(n, p, recv_idx)], &incoming);
-        }
-        // All-gather phase.
-        for step in 0..p - 1 {
-            let send_idx = (r + 1 + p - step) % p;
-            let recv_idx = (r + p - step) % p;
-            let send_block = data[block_range(n, p, send_idx)].to_vec();
-            comm.send_vec(next, FT_AG_TAG, send_block)?;
-            let incoming = recv_ft(comm, prev, FT_AG_TAG, cfg)?;
-            data[block_range(n, p, recv_idx)].copy_from_slice(&incoming);
-        }
-        Ok(())
-    })
-}
-
-/// Fault-tolerant recursive-doubling all-reduce (power-of-two ranks).
-/// Fault-free cost matches
-/// [`crate::recursive::allreduce_recursive_doubling`].
-pub fn allreduce_recursive_doubling_ft(
-    comm: &Communicator,
-    data: &mut [f64],
-    op: ReduceOp,
-    cfg: &FtConfig,
-) -> Result<()> {
-    comm.record_allreduce();
-    let p = comm.size();
-    assert!(
-        is_pow2(p),
-        "recursive doubling requires power-of-two ranks, got {p}"
-    );
-    let _span = comm.trace_span(
-        "collective",
-        "allreduce_recursive_doubling_ft",
-        &[("p", p as f64), ("words", data.len() as f64)],
-    );
-    guarded(comm, || {
-        let r = comm.rank();
-        let mut d = 1usize;
-        while d < p {
-            let partner = r ^ d;
-            let tag = FT_RD_TAG + (d as u64) * 8;
-            comm.send(partner, tag, data)?;
-            let incoming = recv_ft(comm, partner, tag, cfg)?;
-            op.apply(data, &incoming);
-            d <<= 1;
-        }
-        Ok(())
-    })
-}
-
-/// Fault-tolerant ring all-gather of equal-size blocks; fault-free
-/// behavior matches [`crate::ring::allgather_ring`].
-pub fn allgather_ring_ft(comm: &Communicator, mine: &[f64], cfg: &FtConfig) -> Result<Vec<f64>> {
-    comm.record_allgather();
-    let p = comm.size();
-    let r = comm.rank();
-    let m = mine.len();
-    let mut out = vec![0.0; m * p];
-    out[r * m..(r + 1) * m].copy_from_slice(mine);
-    if p == 1 {
-        return Ok(out);
-    }
-    let _span = comm.trace_span(
-        "collective",
-        "allgather_ring_ft",
-        &[("p", p as f64), ("words", (m * p) as f64)],
-    );
-    guarded(comm, || {
-        let next = (r + 1) % p;
-        let prev = (r + p - 1) % p;
-        for step in 0..p - 1 {
-            let send_idx = (r + p - step) % p;
-            let recv_idx = (r + p - step - 1) % p;
-            let block = out[send_idx * m..(send_idx + 1) * m].to_vec();
-            comm.send_vec(next, FT_AG_TAG, block)?;
-            let incoming = recv_ft(comm, prev, FT_AG_TAG, cfg)?;
-            out[recv_idx * m..(recv_idx + 1) * m].copy_from_slice(&incoming);
-        }
-        Ok(())
-    })?;
-    Ok(out)
-}
-
-/// Fault-tolerant ring all-gather of variable-length blocks; fault-free
-/// behavior matches [`crate::ring::allgatherv_ring`].
-pub fn allgatherv_ring_ft(
-    comm: &Communicator,
-    mine: &[f64],
-    cfg: &FtConfig,
-) -> Result<Vec<Vec<f64>>> {
-    comm.record_allgather();
-    let p = comm.size();
-    let r = comm.rank();
-    let mut out: Vec<Vec<f64>> = vec![Vec::new(); p];
-    out[r] = mine.to_vec();
-    if p == 1 {
-        return Ok(out);
-    }
-    let _span = comm.trace_span(
-        "collective",
-        "allgatherv_ring_ft",
-        &[("p", p as f64), ("words", mine.len() as f64)],
-    );
-    guarded(comm, || {
-        let next = (r + 1) % p;
-        let prev = (r + p - 1) % p;
-        for step in 0..p - 1 {
-            let send_idx = (r + p - step) % p;
-            let recv_idx = (r + p - step - 1) % p;
-            comm.send(next, FT_AG_TAG, &out[send_idx])?;
-            out[recv_idx] = recv_ft(comm, prev, FT_AG_TAG, cfg)?;
-        }
-        Ok(())
-    })?;
-    Ok(out)
-}
-
-/// Fault-tolerant 1-D halo exchange: like [`crate::halo::exchange_1d`]
-/// but each neighbour's arrival must beat the per-neighbour deadline
-/// resolved from `cfg.deadline` (measured like
-/// [`mpsim::Communicator::irecv_timeout`]); overlap with
-/// `interior_compute` is preserved. A missing/late halo surfaces as
-/// [`mpsim::Error::Timeout`] and triggers the group abort.
-pub fn exchange_1d_ft<T>(
-    comm: &Communicator,
-    to_prev: &[f64],
-    to_next: &[f64],
-    cfg: &FtConfig,
-    interior_compute: impl FnOnce() -> T,
-) -> Result<(crate::halo::Halo, T)> {
-    let p = comm.size();
-    let r = comm.rank();
-    guarded(comm, || {
-        let up = if r + 1 < p {
-            let t = cfg.deadline.resolve(comm, r + 1);
-            Some(comm.irecv_timeout(r + 1, FT_HALO_UP_TAG, t)?)
-        } else {
-            None
-        };
-        let down = if r > 0 {
-            let t = cfg.deadline.resolve(comm, r - 1);
-            Some(comm.irecv_timeout(r - 1, FT_HALO_DOWN_TAG, t)?)
-        } else {
-            None
-        };
-        if r > 0 {
-            comm.send(r - 1, FT_HALO_UP_TAG, to_prev)?;
-        }
-        if r + 1 < p {
-            comm.send(r + 1, FT_HALO_DOWN_TAG, to_next)?;
-        }
-        let out = interior_compute();
-        let from_next = up.map(|h| comm.wait(h)).transpose()?;
-        let from_prev = down.map(|h| comm.wait(h)).transpose()?;
-        Ok((
-            crate::halo::Halo {
-                from_prev,
-                from_next,
-            },
-            out,
-        ))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::halo::exchange_1d;
+    use crate::op::ReduceOp;
+    use crate::recursive::{allreduce_doubling, allreduce_recursive_doubling};
+    use crate::ring::{allgatherv, allgatherv_ring, allreduce_ring, RS_TAG};
     use mpsim::{FaultPlan, NetModel, World};
 
     fn cfg() -> FtConfig {
@@ -465,12 +281,12 @@ mod tests {
         let n = 30;
         let plain = World::run(p, model, |comm| {
             let mut data = vec![(comm.rank() + 1) as f64; n];
-            crate::ring::allreduce_ring(comm, &mut data, ReduceOp::Sum).unwrap();
+            allreduce_ring(comm, &mut data, ReduceOp::Sum, None).unwrap();
             (data, comm.now())
         });
         let ft = World::run(p, model, |comm| {
             let mut data = vec![(comm.rank() + 1) as f64; n];
-            allreduce_ring_ft(comm, &mut data, ReduceOp::Sum, &cfg()).unwrap();
+            allreduce_ring(comm, &mut data, ReduceOp::Sum, Some(&cfg())).unwrap();
             (data, comm.now())
         });
         for r in 0..p {
@@ -489,12 +305,12 @@ mod tests {
         let p = 8;
         let plain = World::run(p, model, |comm| {
             let mut data = vec![comm.rank() as f64; 16];
-            crate::recursive::allreduce_recursive_doubling(comm, &mut data, ReduceOp::Sum).unwrap();
+            allreduce_recursive_doubling(comm, &mut data, ReduceOp::Sum).unwrap();
             (data, comm.now())
         });
         let ft = World::run(p, model, |comm| {
             let mut data = vec![comm.rank() as f64; 16];
-            allreduce_recursive_doubling_ft(comm, &mut data, ReduceOp::Sum, &cfg()).unwrap();
+            allreduce_doubling(comm, &mut data, ReduceOp::Sum, Some(&cfg())).unwrap();
             (data, comm.now())
         });
         for r in 0..p {
@@ -515,7 +331,7 @@ mod tests {
         let (out, _) = World::run_with_faults(5, model, plan, |comm| {
             comm.advance_compute(1.0);
             let mut data = vec![1.0; 20];
-            allreduce_ring_ft(comm, &mut data, ReduceOp::Sum, &FtConfig::fixed(10.0))
+            allreduce_ring(comm, &mut data, ReduceOp::Sum, Some(&FtConfig::fixed(10.0)))
         });
         for (r, res) in out.iter().enumerate() {
             let e = res.as_ref().expect_err("every rank observes the failure");
@@ -538,14 +354,19 @@ mod tests {
         let plan = FaultPlan::new(11).corrupt_nth(0, 1, 0);
         let (out, stats) = World::run_with_faults(4, model, plan, |comm| {
             let mut data = vec![(comm.rank() + 1) as f64; 8];
-            allreduce_ring_ft(comm, &mut data, ReduceOp::Sum, &FtConfig::fixed(100.0))
+            allreduce_ring(
+                comm,
+                &mut data,
+                ReduceOp::Sum,
+                Some(&FtConfig::fixed(100.0)),
+            )
         });
         // Rank 1 detects the corruption directly; everyone fails.
         assert_eq!(
             out[1],
             Err(Error::Corrupted {
                 rank: 0,
-                tag: FT_RS_TAG,
+                tag: RS_TAG,
                 ctx: None
             })
         );
@@ -566,11 +387,11 @@ mod tests {
         let plan = FaultPlan::new(2).drop_nth(1, 2, 0);
         let (out, stats) = World::run_with_faults(3, model, plan, |comm| {
             let mut data = vec![1.0; 6];
-            allreduce_ring_ft(
+            allreduce_ring(
                 comm,
                 &mut data,
                 ReduceOp::Sum,
-                &FtConfig::fixed(5.0).with_attempts(2).with_backoff(1.0),
+                Some(&FtConfig::fixed(5.0).with_attempts(2).with_backoff(1.0)),
             )
         });
         assert!(
@@ -595,11 +416,11 @@ mod tests {
         };
         let out = World::run(3, model, |comm| {
             let r = comm.rank() as f64;
-            let (halo, ()) = exchange_1d_ft(
+            let (halo, ()) = exchange_1d(
                 comm,
                 &[r * 10.0],
                 &[r * 10.0 + 1.0],
-                &FtConfig::fixed(100.0),
+                Some(&FtConfig::fixed(100.0)),
                 || (),
             )
             .unwrap();
@@ -622,7 +443,7 @@ mod tests {
         };
         let plan = FaultPlan::new(4).drop_nth(1, 0, 0);
         let (out, _) = World::run_with_faults(2, model, plan, |comm| {
-            exchange_1d_ft(comm, &[5.0], &[6.0], &FtConfig::fixed(3.0), || ()).map(|(h, ())| h)
+            exchange_1d(comm, &[5.0], &[6.0], Some(&FtConfig::fixed(3.0)), || ()).map(|(h, ())| h)
         });
         assert!(
             matches!(out[0], Err(Error::Timeout { .. })),
@@ -688,7 +509,7 @@ mod tests {
                     "learned deadline should be a few seconds, got {learned}"
                 );
                 let cfg = FtConfig::adaptive(&model, 1).with_attempts(1);
-                recv_ft(comm, 0, 7, &cfg)
+                recv(comm, 0, 7, Some(&cfg))
             }
         });
         assert_eq!(
@@ -706,8 +527,8 @@ mod tests {
     fn fault_free_allgatherv_ft_matches_plain() {
         let out = World::run(4, NetModel::free(), |comm| {
             let mine = vec![comm.rank() as f64; comm.rank() + 1];
-            let a = crate::ring::allgatherv_ring(comm, &mine).unwrap();
-            let b = allgatherv_ring_ft(comm, &mine, &cfg()).unwrap();
+            let a = allgatherv_ring(comm, &mine).unwrap();
+            let b = allgatherv(comm, &mine, Some(&cfg())).unwrap();
             (a, b)
         });
         for (a, b) in &out {

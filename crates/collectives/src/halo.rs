@@ -9,7 +9,9 @@
 //! model-parallel all-gather) the cost can be overlapped with compute.
 //! `exchange_1d` models exactly that via `irecv`/`wait`.
 
-use mpsim::{Communicator, RecvHandle, Result, Tag};
+use mpsim::{Communicator, Result, Tag};
+
+use crate::ft::{guarded, FtConfig};
 
 const HALO_UP_TAG: Tag = (1 << 48) + 80; // data travelling to rank-1
 const HALO_DOWN_TAG: Tag = (1 << 48) + 81; // data travelling to rank+1
@@ -32,6 +34,11 @@ pub struct Halo {
 /// * `to_prev` — boundary rows this rank sends *up* (ignored at rank 0).
 /// * `to_next` — boundary rows this rank sends *down* (ignored at the
 ///   last rank).
+/// * `ft` — with a policy, each neighbour's arrival must beat its
+///   deadline (measured from the post, like
+///   [`Communicator::irecv_timeout`]); a missing or late halo surfaces
+///   as [`mpsim::Error::Timeout`] and aborts the group (see
+///   [`crate::ft`]). Overlap is unchanged.
 ///
 /// Returns the halos and the closure's output. If the interior compute
 /// takes longer than the transfers, the exchange is free in virtual
@@ -40,36 +47,35 @@ pub fn exchange_1d<T>(
     comm: &Communicator,
     to_prev: &[f64],
     to_next: &[f64],
+    ft: Option<&FtConfig>,
     interior_compute: impl FnOnce() -> T,
 ) -> Result<(Halo, T)> {
     let p = comm.size();
     let r = comm.rank();
-    let up: Option<RecvHandle> = if r + 1 < p {
-        Some(comm.irecv(r + 1, HALO_UP_TAG)?)
-    } else {
-        None
+    let post = |src: usize, tag: Tag| match ft {
+        Some(cfg) => comm.irecv_timeout(src, tag, cfg.deadline.resolve(comm, src)),
+        None => comm.irecv(src, tag),
     };
-    let down: Option<RecvHandle> = if r > 0 {
-        Some(comm.irecv(r - 1, HALO_DOWN_TAG)?)
-    } else {
-        None
-    };
-    if r > 0 {
-        comm.send(r - 1, HALO_UP_TAG, to_prev)?;
-    }
-    if r + 1 < p {
-        comm.send(r + 1, HALO_DOWN_TAG, to_next)?;
-    }
-    let out = interior_compute();
-    let from_next = up.map(|h| comm.wait(h)).transpose()?;
-    let from_prev = down.map(|h| comm.wait(h)).transpose()?;
-    Ok((
-        Halo {
-            from_prev,
-            from_next,
-        },
-        out,
-    ))
+    guarded(comm, ft, || {
+        let up = (r + 1 < p).then(|| post(r + 1, HALO_UP_TAG)).transpose()?;
+        let down = (r > 0).then(|| post(r - 1, HALO_DOWN_TAG)).transpose()?;
+        if r > 0 {
+            comm.send(r - 1, HALO_UP_TAG, to_prev)?;
+        }
+        if r + 1 < p {
+            comm.send(r + 1, HALO_DOWN_TAG, to_next)?;
+        }
+        let out = interior_compute();
+        let from_next = up.map(|h| comm.wait(h)).transpose()?;
+        let from_prev = down.map(|h| comm.wait(h)).transpose()?;
+        Ok((
+            Halo {
+                from_prev,
+                from_next,
+            },
+            out,
+        ))
+    })
 }
 
 #[cfg(test)]
@@ -82,7 +88,8 @@ mod tests {
         let p = 4;
         let out = World::run(p, NetModel::free(), |comm| {
             let r = comm.rank() as f64;
-            let (halo, ()) = exchange_1d(comm, &[r * 10.0], &[r * 10.0 + 1.0], || ()).unwrap();
+            let (halo, ()) =
+                exchange_1d(comm, &[r * 10.0], &[r * 10.0 + 1.0], None, || ()).unwrap();
             halo
         });
         // Rank 0: no prev, next sends its "up" boundary 10.0.
@@ -104,7 +111,7 @@ mod tests {
             flops: f64::INFINITY,
         };
         let out = World::run(3, model, |comm| {
-            let (_halo, ()) = exchange_1d(comm, &[0.0; 10], &[0.0; 10], || {
+            let (_halo, ()) = exchange_1d(comm, &[0.0; 10], &[0.0; 10], None, || {
                 comm.advance_compute(100.0);
             })
             .unwrap();
@@ -123,7 +130,7 @@ mod tests {
             flops: f64::INFINITY,
         };
         let out = World::run(3, model, |comm| {
-            let (_halo, ()) = exchange_1d(comm, &[0.0; 4], &[0.0; 4], || ()).unwrap();
+            let (_halo, ()) = exchange_1d(comm, &[0.0; 4], &[0.0; 4], None, || ()).unwrap();
             comm.now()
         });
         // Each transfer: alpha + 4*beta = 3.0; exchanges overlap, so the
@@ -136,7 +143,7 @@ mod tests {
     #[test]
     fn single_rank_has_no_halo() {
         let out = World::run(1, NetModel::cori_knl(), |comm| {
-            let (halo, v) = exchange_1d(comm, &[1.0], &[2.0], || 42).unwrap();
+            let (halo, v) = exchange_1d(comm, &[1.0], &[2.0], None, || 42).unwrap();
             (halo, v, comm.now())
         });
         assert_eq!(

@@ -17,6 +17,12 @@
 //!
 //! The default entry points [`allreduce`] and [`allgather`] use the
 //! algorithms the paper assumes (ring and Bruck respectively).
+//!
+//! The ring, recursive-doubling, halo and non-blocking collectives take
+//! an `ft: Option<&FtConfig>`: `None` runs the plain algorithm, and a
+//! policy makes every receive deadline-bound and turns any fault into a
+//! group-wide abort ([`ft`]) without changing the fault-free data
+//! movement or virtual time.
 
 // Index-based loops are the clearest way to write rank/block index
 // arithmetic; the clippy suggestions (iterators, is_multiple_of) obscure
@@ -35,10 +41,7 @@ pub mod recursive;
 pub mod ring;
 
 pub use ft::{Deadline, FtConfig};
-pub use nonblocking::{
-    iallgather, iallgather_ft, iallreduce, iallreduce_ft, waitall, IallgatherHandle,
-    IallreduceHandle,
-};
+pub use nonblocking::{iallgather, iallreduce, waitall, IallgatherHandle, IallreduceHandle};
 pub use op::ReduceOp;
 
 use mpsim::{Communicator, Result};
@@ -59,7 +62,7 @@ use mpsim::{Communicator, Result};
 /// assert_eq!(out, vec![10.0; 4]); // 1+2+3+4 on every rank
 /// ```
 pub fn allreduce(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Result<()> {
-    ring::allreduce_ring(comm, data, op)
+    ring::allreduce_ring(comm, data, op, None)
 }
 
 /// All-gather with the paper's assumed algorithm (Bruck). `mine` is this

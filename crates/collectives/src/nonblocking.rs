@@ -29,14 +29,14 @@
 //! deep in a matmul — that is what lets the pipeline run ahead of the
 //! compute it hides behind.
 //!
-//! The `_ft` constructors bound every chunk receive by the
-//! [`FtConfig`] deadline and cascade a group abort on any fault, like
-//! the blocking collectives in [`crate::ft`].
+//! Every constructor takes an `ft: Option<&FtConfig>`: with a policy,
+//! each chunk receive is bounded by its deadline and any fault cascades
+//! a group abort, like the blocking collectives (see [`crate::ft`]).
 
 use mpsim::{ChannelRecv, Communicator, Result, Tag};
 
 use crate::chunks::block_range;
-use crate::ft::FtConfig;
+use crate::ft::{guarded, FtConfig};
 use crate::op::ReduceOp;
 
 /// Shared per-handle progress state: ring position, channel times, and
@@ -59,7 +59,7 @@ struct Progress {
 }
 
 impl Progress {
-    fn new(comm: &Communicator, steps: usize, ft: Option<FtConfig>) -> Self {
+    fn new(comm: &Communicator, steps: usize, ft: Option<&FtConfig>) -> Self {
         let now = comm.now();
         Progress {
             comm: comm.clone(),
@@ -68,24 +68,21 @@ impl Progress {
             next_depart: now,
             ready_at: now,
             charged: 0.0,
-            ft,
+            ft: ft.copied(),
         }
     }
 
-    /// One chunk receive on the channel, deadline-bounded when an
-    /// [`FtConfig`] is attached.
-    fn recv_chunk(&self, prev: usize, tag: Tag) -> Result<ChannelRecv> {
-        match &self.ft {
-            Some(cfg) => {
-                let t = cfg.deadline.resolve(&self.comm, prev);
-                self.comm.recv_channel_deadline(prev, tag, Some(t))
-            }
-            None => self.comm.recv_channel(prev, tag),
-        }
-    }
-
-    /// Folds a completed chunk receive into the pipeline times.
-    fn absorb(&mut self, got: &ChannelRecv) {
+    /// One ring step: forwards `block` to the next rank, departing
+    /// when the previous chunk left the channel, then receives the
+    /// previous rank's chunk on the channel (deadline-bounded when an
+    /// [`FtConfig`] is attached) and folds it into the pipeline times.
+    fn ring_step(&mut self, tag: Tag, block: Vec<f64>) -> Result<ChannelRecv> {
+        let (p, r) = (self.comm.size(), self.comm.rank());
+        self.comm
+            .send_vec_at((r + 1) % p, tag, block, self.next_depart)?;
+        let prev = (r + p - 1) % p;
+        let timeout = self.ft.map(|cfg| cfg.deadline.resolve(&self.comm, prev));
+        let got = self.comm.recv_channel_deadline(prev, tag, timeout)?;
         self.comm.trace_instant(
             "nb",
             "chunk_step",
@@ -95,6 +92,7 @@ impl Progress {
         self.ready_at = got.ready_at;
         self.charged += got.transfer;
         self.step += 1;
+        Ok(got)
     }
 
     fn done(&self) -> bool {
@@ -102,15 +100,9 @@ impl Progress {
     }
 
     /// On a fault error, cascades a group abort blaming the culprit
-    /// (mirrors the blocking collectives' guard in [`crate::ft`]).
+    /// (the blocking collectives' guard in [`crate::ft`]).
     fn guard<T>(&self, res: Result<T>) -> Result<T> {
-        res.inspect_err(|e| {
-            if self.ft.is_some() {
-                if let Some(culprit) = crate::ft::blame(&self.comm, e) {
-                    let _ = self.comm.send_abort(culprit);
-                }
-            }
-        })
+        guarded(&self.comm, self.ft.as_ref(), || res)
     }
 
     /// Blocks the main timeline on the channel completing and settles
@@ -136,7 +128,9 @@ pub struct IallreduceHandle {
 ///
 /// The launch itself charges no time; drive the pipeline with
 /// [`IallreduceHandle::progress`] between compute calls (optional) and
-/// collect the reduced vector with [`IallreduceHandle::wait`].
+/// collect the reduced vector with [`IallreduceHandle::wait`]. With an
+/// [`FtConfig`], chunk receives are deadline-bound and a fault aborts
+/// the group, composing with the recovery protocol of [`crate::ft`].
 ///
 /// # Examples
 ///
@@ -147,13 +141,18 @@ pub struct IallreduceHandle {
 ///
 /// let out = World::run(4, NetModel::free(), |comm| {
 ///     let data = vec![comm.rank() as f64 + 1.0; 8];
-///     let h = iallreduce(comm, data, ReduceOp::Sum).unwrap();
+///     let h = iallreduce(comm, data, ReduceOp::Sum, None).unwrap();
 ///     comm.advance_compute(1.0); // overlapped with the transfers
 ///     h.wait().unwrap()[0]
 /// });
 /// assert_eq!(out, vec![10.0; 4]);
 /// ```
-pub fn iallreduce(comm: &Communicator, data: Vec<f64>, op: ReduceOp) -> Result<IallreduceHandle> {
+pub fn iallreduce(
+    comm: &Communicator,
+    data: Vec<f64>,
+    op: ReduceOp,
+    ft: Option<&FtConfig>,
+) -> Result<IallreduceHandle> {
     let p = comm.size();
     if p > 1 {
         // A single-member communicator moves no bytes: recording a
@@ -170,25 +169,12 @@ pub fn iallreduce(comm: &Communicator, data: Vec<f64>, op: ReduceOp) -> Result<I
         &[("p", p as f64), ("words", data.len() as f64)],
     );
     Ok(IallreduceHandle {
-        pr: Progress::new(comm, steps, None),
+        pr: Progress::new(comm, steps, ft),
         data,
         op,
         rs_tag: base,
         ag_tag: base + 1,
     })
-}
-
-/// [`iallreduce`] with deadline-bounded chunk receives and group abort
-/// on faults, composing with the recovery protocol of [`crate::ft`].
-pub fn iallreduce_ft(
-    comm: &Communicator,
-    data: Vec<f64>,
-    op: ReduceOp,
-    cfg: &FtConfig,
-) -> Result<IallreduceHandle> {
-    let mut h = iallreduce(comm, data, op)?;
-    h.pr.ft = Some(*cfg);
-    Ok(h)
 }
 
 impl IallreduceHandle {
@@ -249,33 +235,23 @@ impl IallreduceHandle {
         let p = self.pr.comm.size();
         let r = self.pr.comm.rank();
         let n = self.data.len();
-        let next = (r + 1) % p;
-        let prev = (r + p - 1) % p;
         if self.pr.step < p - 1 {
             // Reduce-scatter phase: same schedule as the blocking ring.
             let s = self.pr.step;
             let send_idx = (r + p - s) % p;
             let recv_idx = (r + p - s - 1) % p;
             let block = self.data[block_range(n, p, send_idx)].to_vec();
-            self.pr
-                .comm
-                .send_vec_at(next, self.rs_tag, block, self.pr.next_depart)?;
-            let got = self.pr.recv_chunk(prev, self.rs_tag)?;
+            let got = self.pr.ring_step(self.rs_tag, block)?;
             self.op
                 .apply(&mut self.data[block_range(n, p, recv_idx)], &got.data);
-            self.pr.absorb(&got);
         } else {
             // All-gather phase.
             let s = self.pr.step - (p - 1);
             let send_idx = (r + 1 + p - s) % p;
             let recv_idx = (r + p - s) % p;
             let block = self.data[block_range(n, p, send_idx)].to_vec();
-            self.pr
-                .comm
-                .send_vec_at(next, self.ag_tag, block, self.pr.next_depart)?;
-            let got = self.pr.recv_chunk(prev, self.ag_tag)?;
+            let got = self.pr.ring_step(self.ag_tag, block)?;
             self.data[block_range(n, p, recv_idx)].copy_from_slice(&got.data);
-            self.pr.absorb(&got);
         }
         Ok(())
     }
@@ -293,8 +269,12 @@ pub struct IallgatherHandle {
 /// Launches a non-blocking ring all-gather of this rank's block `mine`;
 /// [`IallgatherHandle::wait`] returns all ranks' blocks concatenated in
 /// rank order, bit-identical to [`crate::ring::allgather_ring`]. SPMD
-/// launch order required, like [`iallreduce`].
-pub fn iallgather(comm: &Communicator, mine: &[f64]) -> Result<IallgatherHandle> {
+/// launch order required and `ft` as in [`iallreduce`].
+pub fn iallgather(
+    comm: &Communicator,
+    mine: &[f64],
+    ft: Option<&FtConfig>,
+) -> Result<IallgatherHandle> {
     let p = comm.size();
     if p > 1 {
         comm.record_nb_allgather();
@@ -311,23 +291,11 @@ pub fn iallgather(comm: &Communicator, mine: &[f64]) -> Result<IallgatherHandle>
         &[("p", p as f64), ("words", (m * p) as f64)],
     );
     Ok(IallgatherHandle {
-        pr: Progress::new(comm, steps, None),
+        pr: Progress::new(comm, steps, ft),
         out,
         m,
         tag: base,
     })
-}
-
-/// [`iallgather`] with deadline-bounded chunk receives and group abort
-/// on faults.
-pub fn iallgather_ft(
-    comm: &Communicator,
-    mine: &[f64],
-    cfg: &FtConfig,
-) -> Result<IallgatherHandle> {
-    let mut h = iallgather(comm, mine)?;
-    h.pr.ft = Some(*cfg);
-    Ok(h)
 }
 
 impl IallgatherHandle {
@@ -362,18 +330,12 @@ impl IallgatherHandle {
         let p = self.pr.comm.size();
         let r = self.pr.comm.rank();
         let m = self.m;
-        let next = (r + 1) % p;
-        let prev = (r + p - 1) % p;
         let s = self.pr.step;
         let send_idx = (r + p - s) % p;
         let recv_idx = (r + p - s - 1) % p;
         let block = self.out[send_idx * m..(send_idx + 1) * m].to_vec();
-        self.pr
-            .comm
-            .send_vec_at(next, self.tag, block, self.pr.next_depart)?;
-        let got = self.pr.recv_chunk(prev, self.tag)?;
+        let got = self.pr.ring_step(self.tag, block)?;
         self.out[recv_idx * m..(recv_idx + 1) * m].copy_from_slice(&got.data);
-        self.pr.absorb(&got);
         Ok(())
     }
 }
@@ -397,9 +359,13 @@ pub struct IallgathervHandle {
 }
 
 /// Launches a non-blocking ring all-gather of this rank's
-/// variable-length block `mine`. SPMD launch order required, like
-/// [`iallreduce`].
-pub fn iallgatherv(comm: &Communicator, mine: &[f64]) -> Result<IallgathervHandle> {
+/// variable-length block `mine`. SPMD launch order required and `ft`
+/// as in [`iallreduce`].
+pub fn iallgatherv(
+    comm: &Communicator,
+    mine: &[f64],
+    ft: Option<&FtConfig>,
+) -> Result<IallgathervHandle> {
     let p = comm.size();
     if p > 1 {
         comm.record_nb_allgather();
@@ -415,23 +381,11 @@ pub fn iallgatherv(comm: &Communicator, mine: &[f64]) -> Result<IallgathervHandl
         &[("p", p as f64), ("words", mine.len() as f64)],
     );
     Ok(IallgathervHandle {
-        pr: Progress::new(comm, steps, None),
+        pr: Progress::new(comm, steps, ft),
         out,
         tag: base,
         delivered: 0,
     })
-}
-
-/// [`iallgatherv`] with deadline-bounded chunk receives and group abort
-/// on faults.
-pub fn iallgatherv_ft(
-    comm: &Communicator,
-    mine: &[f64],
-    cfg: &FtConfig,
-) -> Result<IallgathervHandle> {
-    let mut h = iallgatherv(comm, mine)?;
-    h.pr.ft = Some(*cfg);
-    Ok(h)
 }
 
 impl IallgathervHandle {
@@ -490,20 +444,12 @@ impl IallgathervHandle {
     fn step_once(&mut self) -> Result<f64> {
         let p = self.pr.comm.size();
         let r = self.pr.comm.rank();
-        let next = (r + 1) % p;
-        let prev = (r + p - 1) % p;
         let s = self.pr.step;
         let send_idx = (r + p - s) % p;
         let recv_idx = (r + p - s - 1) % p;
-        let block = self.out[send_idx].clone();
-        self.pr
-            .comm
-            .send_vec_at(next, self.tag, block, self.pr.next_depart)?;
-        let got = self.pr.recv_chunk(prev, self.tag)?;
-        let transfer = got.transfer;
-        self.pr.absorb(&got);
+        let got = self.pr.ring_step(self.tag, self.out[send_idx].clone())?;
         self.out[recv_idx] = got.data;
-        Ok(transfer)
+        Ok(got.transfer)
     }
 }
 
@@ -534,8 +480,9 @@ mod tests {
             for n in [1, 7, 24, 40] {
                 let out = World::run(p, NetModel::free(), |comm| {
                     let mut blocking = contribution(comm.rank(), n);
-                    allreduce_ring(comm, &mut blocking, ReduceOp::Sum).unwrap();
-                    let h = iallreduce(comm, contribution(comm.rank(), n), ReduceOp::Sum).unwrap();
+                    allreduce_ring(comm, &mut blocking, ReduceOp::Sum, None).unwrap();
+                    let h = iallreduce(comm, contribution(comm.rank(), n), ReduceOp::Sum, None)
+                        .unwrap();
                     (blocking, h.wait().unwrap())
                 });
                 for (r, (b, nb)) in out.iter().enumerate() {
@@ -555,11 +502,12 @@ mod tests {
         for (p, n) in [(4, 32), (8, 1000), (5, 13)] {
             let blocking = World::run(p, model, |comm| {
                 let mut data = contribution(comm.rank(), n);
-                allreduce_ring(comm, &mut data, ReduceOp::Sum).unwrap();
+                allreduce_ring(comm, &mut data, ReduceOp::Sum, None).unwrap();
                 comm.now()
             });
             let nonblocking = World::run(p, model, |comm| {
-                let h = iallreduce(comm, contribution(comm.rank(), n), ReduceOp::Sum).unwrap();
+                let h =
+                    iallreduce(comm, contribution(comm.rank(), n), ReduceOp::Sum, None).unwrap();
                 h.wait().unwrap();
                 comm.now()
             });
@@ -587,7 +535,7 @@ mod tests {
             + 2.0 * ((p as f64 - 1.0) / p as f64) * n as f64 * model.beta;
         let compute = 10.0 * ring_time;
         let (out, stats) = World::run_with_stats(p, model, |comm| {
-            let h = iallreduce(comm, contribution(comm.rank(), n), ReduceOp::Sum).unwrap();
+            let h = iallreduce(comm, contribution(comm.rank(), n), ReduceOp::Sum, None).unwrap();
             comm.advance_compute(compute);
             h.wait().unwrap();
             comm.clock()
@@ -616,12 +564,13 @@ mod tests {
         let p = 6;
         let n = 60;
         let lazy = World::run(p, model, |comm| {
-            let h = iallreduce(comm, contribution(comm.rank(), n), ReduceOp::Sum).unwrap();
+            let h = iallreduce(comm, contribution(comm.rank(), n), ReduceOp::Sum, None).unwrap();
             comm.advance_compute(5e-3);
             (h.wait().unwrap(), comm.now())
         });
         let eager = World::run(p, model, |comm| {
-            let mut h = iallreduce(comm, contribution(comm.rank(), n), ReduceOp::Sum).unwrap();
+            let mut h =
+                iallreduce(comm, contribution(comm.rank(), n), ReduceOp::Sum, None).unwrap();
             comm.advance_compute(5e-3);
             while !h.progress().unwrap() {}
             (h.wait().unwrap(), comm.now())
@@ -642,9 +591,9 @@ mod tests {
         for (p, m) in [(1, 4), (5, 3), (6, 100)] {
             let out = World::run(p, model, |comm| {
                 let mine: Vec<f64> = (0..m).map(|i| (comm.rank() * 10 + i) as f64).collect();
-                let blocking = allgather_ring(comm, &mine).unwrap();
+                let blocking = allgather_ring(comm, &mine, None).unwrap();
                 let t_blocking = comm.now();
-                let h = iallgather(comm, &mine).unwrap();
+                let h = iallgather(comm, &mine, None).unwrap();
                 let gathered = h.wait().unwrap();
                 let t_nb = comm.now() - t_blocking;
                 (blocking, gathered, t_blocking, t_nb)
@@ -677,7 +626,7 @@ mod tests {
             });
             let nonblocking = World::run(p, model, |comm| {
                 let mine = vec![comm.rank() as f64 + 0.5; comm.rank() + 2];
-                let h = iallgatherv(comm, &mine).unwrap();
+                let h = iallgatherv(comm, &mine, None).unwrap();
                 (h.wait().unwrap(), comm.now())
             });
             for r in 0..p {
@@ -704,7 +653,7 @@ mod tests {
         let (out, stats) = World::run_with_stats(p, model, |comm| {
             let mine = vec![comm.rank() as f64 + 1.0; m];
             let reference = crate::ring::allgatherv_ring(comm, &mine).unwrap();
-            let mut h = iallgatherv(comm, &mine).unwrap();
+            let mut h = iallgatherv(comm, &mine, None).unwrap();
             let mut order = Vec::new();
             let mut blocks: Vec<Vec<f64>> = vec![Vec::new(); p];
             while let Some((idx, block)) = h.recv_next().unwrap() {
@@ -733,11 +682,11 @@ mod tests {
     #[test]
     fn single_member_comms_record_no_nb_launches() {
         let (_, stats) = World::run_with_stats(1, NetModel::free(), |comm| {
-            let h = iallreduce(comm, vec![2.0; 8], ReduceOp::Sum).unwrap();
+            let h = iallreduce(comm, vec![2.0; 8], ReduceOp::Sum, None).unwrap();
             assert_eq!(h.wait().unwrap(), vec![2.0; 8]);
-            let g = iallgatherv(comm, &[1.0, 2.0]).unwrap();
+            let g = iallgatherv(comm, &[1.0, 2.0], None).unwrap();
             assert_eq!(g.wait().unwrap(), vec![vec![1.0, 2.0]]);
-            let g2 = iallgather(comm, &[3.0]).unwrap();
+            let g2 = iallgather(comm, &[3.0], None).unwrap();
             assert_eq!(g2.wait().unwrap(), vec![3.0]);
         });
         let (_, _, nb_ar, nb_ag) = stats.total_collective_calls();
@@ -748,8 +697,8 @@ mod tests {
     #[test]
     fn outstanding_handles_do_not_cross_match() {
         let out = World::run(4, NetModel::free(), |comm| {
-            let a = iallreduce(comm, vec![1.0; 8], ReduceOp::Sum).unwrap();
-            let b = iallreduce(comm, vec![100.0; 8], ReduceOp::Sum).unwrap();
+            let a = iallreduce(comm, vec![1.0; 8], ReduceOp::Sum, None).unwrap();
+            let b = iallreduce(comm, vec![100.0; 8], ReduceOp::Sum, None).unwrap();
             // Reverse wait order: tags keep the two pipelines apart.
             let vb = b.wait().unwrap();
             let va = a.wait().unwrap();
@@ -775,8 +724,8 @@ mod tests {
         let one = 2.0 * (p as f64 - 1.0) * model.alpha
             + 2.0 * ((p as f64 - 1.0) / p as f64) * n as f64 * model.beta;
         let out = World::run(p, model, |comm| {
-            let a = iallreduce(comm, vec![1.0; n], ReduceOp::Sum).unwrap();
-            let b = iallreduce(comm, vec![2.0; n], ReduceOp::Sum).unwrap();
+            let a = iallreduce(comm, vec![1.0; n], ReduceOp::Sum, None).unwrap();
+            let b = iallreduce(comm, vec![2.0; n], ReduceOp::Sum, None).unwrap();
             let _ = waitall(vec![a, b]).unwrap();
             comm.now()
         });
@@ -799,13 +748,19 @@ mod tests {
         let p = 6;
         let n = 30;
         let plain = World::run(p, model, |comm| {
-            let h = iallreduce(comm, contribution(comm.rank(), n), ReduceOp::Sum).unwrap();
+            let h = iallreduce(comm, contribution(comm.rank(), n), ReduceOp::Sum, None).unwrap();
             comm.advance_compute(1e-3);
             (h.wait().unwrap(), comm.now())
         });
         let ft = World::run(p, model, |comm| {
             let cfg = FtConfig::fixed(1e6);
-            let h = iallreduce_ft(comm, contribution(comm.rank(), n), ReduceOp::Sum, &cfg).unwrap();
+            let h = iallreduce(
+                comm,
+                contribution(comm.rank(), n),
+                ReduceOp::Sum,
+                Some(&cfg),
+            )
+            .unwrap();
             comm.advance_compute(1e-3);
             (h.wait().unwrap(), comm.now())
         });
@@ -826,7 +781,7 @@ mod tests {
         let plan = FaultPlan::new(7).drop_nth(1, 2, 0);
         let (out, stats) = World::run_with_faults(4, model, plan, |comm| {
             let cfg = FtConfig::fixed(10.0);
-            let h = iallreduce_ft(comm, vec![1.0; 16], ReduceOp::Sum, &cfg)?;
+            let h = iallreduce(comm, vec![1.0; 16], ReduceOp::Sum, Some(&cfg))?;
             h.wait()
         });
         for (r, res) in out.iter().enumerate() {
@@ -857,9 +812,9 @@ mod tests {
             let model = NetModel { alpha: 1e-4, beta: 1e-7, flops: f64::INFINITY };
             let out = World::run(p, model, |comm| {
                 let mut blocking = contribution(comm.rank(), n);
-                allreduce_ring(comm, &mut blocking, op).unwrap();
+                allreduce_ring(comm, &mut blocking, op, None).unwrap();
                 let t0 = comm.now();
-                let h = iallreduce(comm, contribution(comm.rank(), n), op).unwrap();
+                let h = iallreduce(comm, contribution(comm.rank(), n), op, None).unwrap();
                 comm.advance_compute(compute_ns as f64 * 1e-9);
                 let nb = h.wait().unwrap();
                 (blocking, nb, comm.now() - t0)
@@ -891,8 +846,8 @@ mod tests {
             let out = World::run(p, NetModel::free(), |comm| {
                 let mine: Vec<f64> =
                     (0..m).map(|i| ((comm.rank() + 2) * (i + 1)) as f64 * 0.81).collect();
-                let blocking = allgather_ring(comm, &mine).unwrap();
-                let h = iallgather(comm, &mine).unwrap();
+                let blocking = allgather_ring(comm, &mine, None).unwrap();
+                let h = iallgather(comm, &mine, None).unwrap();
                 (blocking, h.wait().unwrap())
             });
             for (r, (b, nb)) in out.iter().enumerate() {

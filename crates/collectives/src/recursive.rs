@@ -11,6 +11,7 @@
 
 use mpsim::{Communicator, Result, Tag};
 
+use crate::ft::{guarded, recv, FtConfig};
 use crate::op::ReduceOp;
 
 const RD_TAG: Tag = (1 << 48) + 48;
@@ -24,10 +25,15 @@ pub fn is_pow2(p: usize) -> bool {
 
 /// Recursive-doubling all-reduce. Cost: `⌈log₂ P⌉·(α + n·β)`.
 /// Requires a power-of-two communicator size.
-pub fn allreduce_recursive_doubling(
+///
+/// With an [`FtConfig`] every receive is deadline-bound and a fault
+/// aborts the whole group (see [`crate::ft`]); fault-free values and
+/// virtual time are those of `ft = None`.
+pub fn allreduce_doubling(
     comm: &Communicator,
     data: &mut [f64],
     op: ReduceOp,
+    ft: Option<&FtConfig>,
 ) -> Result<()> {
     comm.record_allreduce();
     let p = comm.size();
@@ -41,14 +47,27 @@ pub fn allreduce_recursive_doubling(
         "allreduce_recursive_doubling",
         &[("p", p as f64), ("words", data.len() as f64)],
     );
-    let mut d = 1usize;
-    while d < p {
-        let partner = r ^ d;
-        let incoming = comm.sendrecv(partner, data, partner, RD_TAG + d as u64)?;
-        op.apply(data, &incoming);
-        d <<= 1;
-    }
-    Ok(())
+    guarded(comm, ft, || {
+        let mut d = 1usize;
+        while d < p {
+            let partner = r ^ d;
+            let tag = RD_TAG + d as u64;
+            comm.send(partner, tag, data)?;
+            let incoming = recv(comm, partner, tag, ft)?;
+            op.apply(data, &incoming);
+            d <<= 1;
+        }
+        Ok(())
+    })
+}
+
+/// [`allreduce_doubling`] without a fault-tolerance policy.
+pub fn allreduce_recursive_doubling(
+    comm: &Communicator,
+    data: &mut [f64],
+    op: ReduceOp,
+) -> Result<()> {
+    allreduce_doubling(comm, data, op, None)
 }
 
 /// Rabenseifner all-reduce: recursive-halving reduce-scatter followed by

@@ -10,16 +10,22 @@
 use mpsim::{Communicator, Result, Tag};
 
 use crate::chunks::block_range;
+use crate::ft::{guarded, recv, FtConfig};
 use crate::op::ReduceOp;
 
-const RS_TAG: Tag = (1 << 48) + 16;
+pub(crate) const RS_TAG: Tag = (1 << 48) + 16;
 const AG_TAG: Tag = (1 << 48) + 17;
 
 /// Ring reduce-scatter: after the call, this rank's block
 /// `block_range(n, P, (rank+1) % P)` holds the fully reduced values;
 /// other positions of `data` are garbage (partially reduced).
 /// Returns the index of the block this rank owns.
-pub fn reduce_scatter_ring(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Result<usize> {
+fn reduce_scatter_ring(
+    comm: &Communicator,
+    data: &mut [f64],
+    op: ReduceOp,
+    ft: Option<&FtConfig>,
+) -> Result<usize> {
     let p = comm.size();
     let r = comm.rank();
     if p == 1 {
@@ -38,7 +44,7 @@ pub fn reduce_scatter_ring(comm: &Communicator, data: &mut [f64], op: ReduceOp) 
         let recv_idx = (r + p - step - 1) % p;
         let send_block = data[block_range(n, p, send_idx)].to_vec();
         comm.send_vec(next, RS_TAG, send_block)?;
-        let incoming = comm.recv(prev, RS_TAG)?;
+        let incoming = recv(comm, prev, RS_TAG, ft)?;
         op.apply(&mut data[block_range(n, p, recv_idx)], &incoming);
     }
     Ok((r + 1) % p)
@@ -48,7 +54,11 @@ pub fn reduce_scatter_ring(comm: &Communicator, data: &mut [f64], op: ReduceOp) 
 /// contributes the block `block_range(n, P, owned)` where
 /// `owned = (r+1) % P` (the reduce-scatter ownership convention). After
 /// the call every rank holds all blocks.
-fn allgather_ring_inplace(comm: &Communicator, data: &mut [f64]) -> Result<()> {
+fn allgather_ring_inplace(
+    comm: &Communicator,
+    data: &mut [f64],
+    ft: Option<&FtConfig>,
+) -> Result<()> {
     let p = comm.size();
     let r = comm.rank();
     if p == 1 {
@@ -67,7 +77,7 @@ fn allgather_ring_inplace(comm: &Communicator, data: &mut [f64]) -> Result<()> {
         let recv_idx = (r + p - step) % p;
         let send_block = data[block_range(n, p, send_idx)].to_vec();
         comm.send_vec(next, AG_TAG, send_block)?;
-        let incoming = comm.recv(prev, AG_TAG)?;
+        let incoming = recv(comm, prev, AG_TAG, ft)?;
         data[block_range(n, p, recv_idx)].copy_from_slice(&incoming);
     }
     Ok(())
@@ -77,7 +87,16 @@ fn allgather_ring_inplace(comm: &Communicator, data: &mut [f64]) -> Result<()> {
 /// algorithm behind the `2(α⌈log P⌉ + β·(P−1)/P·|W|)` gradient-sum terms
 /// of the paper's Eqs. 4, 7, 8 and 9 (the paper substitutes `⌈log P⌉`
 /// for the ring's `P−1` latency factor; see `cost::paper_allreduce`).
-pub fn allreduce_ring(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Result<()> {
+///
+/// With an [`FtConfig`] every receive is deadline-bound and a fault
+/// aborts the whole group (see [`crate::ft`]); data movement, values
+/// and fault-free virtual time are those of `ft = None`.
+pub fn allreduce_ring(
+    comm: &Communicator,
+    data: &mut [f64],
+    op: ReduceOp,
+    ft: Option<&FtConfig>,
+) -> Result<()> {
     comm.record_allreduce();
     if comm.size() == 1 {
         return Ok(());
@@ -87,13 +106,20 @@ pub fn allreduce_ring(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Re
         "allreduce_ring",
         &[("p", comm.size() as f64), ("words", data.len() as f64)],
     );
-    reduce_scatter_ring(comm, data, op)?;
-    allgather_ring_inplace(comm, data)
+    guarded(comm, ft, || {
+        reduce_scatter_ring(comm, data, op, ft)?;
+        allgather_ring_inplace(comm, data, ft)
+    })
 }
 
 /// Ring all-gather of equal-size per-rank blocks (`mine` from each rank,
-/// concatenated in rank order in the result).
-pub fn allgather_ring(comm: &Communicator, mine: &[f64]) -> Result<Vec<f64>> {
+/// concatenated in rank order in the result). `ft` as in
+/// [`allreduce_ring`].
+pub fn allgather_ring(
+    comm: &Communicator,
+    mine: &[f64],
+    ft: Option<&FtConfig>,
+) -> Result<Vec<f64>> {
     comm.record_allgather();
     let p = comm.size();
     let r = comm.rank();
@@ -110,22 +136,29 @@ pub fn allgather_ring(comm: &Communicator, mine: &[f64]) -> Result<Vec<f64>> {
     );
     let next = (r + 1) % p;
     let prev = (r + p - 1) % p;
-    for step in 0..p - 1 {
-        let send_idx = (r + p - step) % p;
-        let recv_idx = (r + p - step - 1) % p;
-        let block = out[send_idx * m..(send_idx + 1) * m].to_vec();
-        comm.send_vec(next, AG_TAG, block)?;
-        let incoming = comm.recv(prev, AG_TAG)?;
-        out[recv_idx * m..(recv_idx + 1) * m].copy_from_slice(&incoming);
-    }
+    guarded(comm, ft, || {
+        for step in 0..p - 1 {
+            let send_idx = (r + p - step) % p;
+            let recv_idx = (r + p - step - 1) % p;
+            let block = out[send_idx * m..(send_idx + 1) * m].to_vec();
+            comm.send_vec(next, AG_TAG, block)?;
+            let incoming = recv(comm, prev, AG_TAG, ft)?;
+            out[recv_idx * m..(recv_idx + 1) * m].copy_from_slice(&incoming);
+        }
+        Ok(())
+    })?;
     Ok(out)
 }
 
 /// Ring all-gather of *variable-length* per-rank blocks: returns one
 /// vector per rank, indexed by rank. Same cost structure as
 /// [`allgather_ring`], with the bandwidth term determined by the total
-/// length.
-pub fn allgatherv_ring(comm: &Communicator, mine: &[f64]) -> Result<Vec<Vec<f64>>> {
+/// length. `ft` as in [`allreduce_ring`].
+pub fn allgatherv(
+    comm: &Communicator,
+    mine: &[f64],
+    ft: Option<&FtConfig>,
+) -> Result<Vec<Vec<f64>>> {
     comm.record_allgather();
     let p = comm.size();
     let r = comm.rank();
@@ -141,13 +174,21 @@ pub fn allgatherv_ring(comm: &Communicator, mine: &[f64]) -> Result<Vec<Vec<f64>
     );
     let next = (r + 1) % p;
     let prev = (r + p - 1) % p;
-    for step in 0..p - 1 {
-        let send_idx = (r + p - step) % p;
-        let recv_idx = (r + p - step - 1) % p;
-        comm.send(next, AG_TAG, &out[send_idx])?;
-        out[recv_idx] = comm.recv(prev, AG_TAG)?;
-    }
+    guarded(comm, ft, || {
+        for step in 0..p - 1 {
+            let send_idx = (r + p - step) % p;
+            let recv_idx = (r + p - step - 1) % p;
+            comm.send(next, AG_TAG, &out[send_idx])?;
+            out[recv_idx] = recv(comm, prev, AG_TAG, ft)?;
+        }
+        Ok(())
+    })?;
     Ok(out)
+}
+
+/// [`allgatherv`] without a fault-tolerance policy.
+pub fn allgatherv_ring(comm: &Communicator, mine: &[f64]) -> Result<Vec<Vec<f64>>> {
+    allgatherv(comm, mine, None)
 }
 
 #[cfg(test)]
@@ -171,7 +212,7 @@ mod tests {
             let n = 24;
             let out = World::run(p, NetModel::free(), |comm| {
                 let mut data = contribution(comm.rank(), n);
-                allreduce_ring(comm, &mut data, ReduceOp::Sum).unwrap();
+                allreduce_ring(comm, &mut data, ReduceOp::Sum, None).unwrap();
                 data
             });
             for r in 0..p {
@@ -184,7 +225,7 @@ mod tests {
     fn allreduce_max() {
         let out = World::run(4, NetModel::free(), |comm| {
             let mut data = vec![comm.rank() as f64; 8];
-            allreduce_ring(comm, &mut data, ReduceOp::Max).unwrap();
+            allreduce_ring(comm, &mut data, ReduceOp::Max, None).unwrap();
             data
         });
         for r in 0..4 {
@@ -198,7 +239,7 @@ mod tests {
         let n = 10; // not divisible by 4
         let out = World::run(p, NetModel::free(), |comm| {
             let mut data = contribution(comm.rank(), n);
-            allreduce_ring(comm, &mut data, ReduceOp::Sum).unwrap();
+            allreduce_ring(comm, &mut data, ReduceOp::Sum, None).unwrap();
             data
         });
         for r in 0..p {
@@ -217,7 +258,7 @@ mod tests {
         let n = 8 * 125; // divisible by p
         let out = World::run(p, model, |comm| {
             let mut data = vec![1.0; n];
-            allreduce_ring(comm, &mut data, ReduceOp::Sum).unwrap();
+            allreduce_ring(comm, &mut data, ReduceOp::Sum, None).unwrap();
             comm.now()
         });
         let expect = 2.0 * (p as f64 - 1.0) * model.alpha
@@ -233,7 +274,7 @@ mod tests {
         let m = 3;
         let out = World::run(p, NetModel::free(), |comm| {
             let mine: Vec<f64> = (0..m).map(|i| (comm.rank() * 10 + i) as f64).collect();
-            allgather_ring(comm, &mine).unwrap()
+            allgather_ring(comm, &mine, None).unwrap()
         });
         let expected: Vec<f64> = (0..p)
             .flat_map(|r| (0..m).map(move |i| (r * 10 + i) as f64))
@@ -254,7 +295,7 @@ mod tests {
         let m = 100;
         let out = World::run(p, model, |comm| {
             let mine = vec![1.0; m];
-            allgather_ring(comm, &mine).unwrap();
+            allgather_ring(comm, &mine, None).unwrap();
             comm.now()
         });
         let n_total = (p * m) as f64;
@@ -271,7 +312,7 @@ mod tests {
         let n = 16;
         let out = World::run(p, NetModel::free(), |comm| {
             let mut data = contribution(comm.rank(), n);
-            let owned = reduce_scatter_ring(comm, &mut data, ReduceOp::Sum).unwrap();
+            let owned = reduce_scatter_ring(comm, &mut data, ReduceOp::Sum, None).unwrap();
             let range = crate::chunks::block_range(n, p, owned);
             (owned, data[range].to_vec())
         });
@@ -303,7 +344,7 @@ mod tests {
     fn single_rank_is_identity() {
         let out = World::run(1, NetModel::cori_knl(), |comm| {
             let mut data = vec![3.0, 4.0];
-            allreduce_ring(comm, &mut data, ReduceOp::Sum).unwrap();
+            allreduce_ring(comm, &mut data, ReduceOp::Sum, None).unwrap();
             (data, comm.now())
         });
         assert_eq!(out[0].0, vec![3.0, 4.0]);

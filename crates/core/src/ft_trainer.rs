@@ -44,7 +44,7 @@
 //! recovery just triggers another attempt with the updated survivor
 //! set.
 
-use collectives::ft::{allgatherv_ring_ft, allreduce_ring_ft};
+use collectives::ring::{allgatherv, allreduce_ring};
 use collectives::{FtConfig, ReduceOp};
 use dnn::{Network, WeightedLayer};
 use mpsim::fault::checksum;
@@ -537,7 +537,7 @@ fn run_iteration(
     // gives every rank the same number — and doubles as a per-iteration
     // liveness probe of the row group.
     let mut lbuf = [loss];
-    allreduce_ring_ft(&grid.row_comm, &mut lbuf, ReduceOp::Sum, &cfg.ft)?;
+    allreduce_ring(&grid.row_comm, &mut lbuf, ReduceOp::Sum, Some(&cfg.ft))?;
     step.backward(w, &acts, grad, sched.as_mut(), true, &mut apply)?;
     Ok(lbuf[0])
 }
@@ -693,7 +693,7 @@ fn attempt_recovery(
         } else {
             &[]
         };
-        let blocks = allgatherv_ring_ft(&alive, mine, &cfg.ft)?;
+        let blocks = allgatherv(&alive, mine, Some(&cfg.ft))?;
         let mats: Vec<Matrix> = (0..old_pr)
             .map(|i| {
                 let idx = alive

@@ -14,7 +14,7 @@
 //! masks would make the serial-vs-distributed comparison seed-order
 //! dependent without touching communication at all.
 
-use collectives::nonblocking::{iallreduce, iallreduce_ft, IallreduceHandle};
+use collectives::nonblocking::{iallreduce, IallreduceHandle};
 use collectives::{FtConfig, ReduceOp};
 use dnn::{LayerSpec, Network};
 use mpsim::{Communicator, Error, NetModel, TraceConfig, TraceSpan, World, WorldStats, WorldTrace};
@@ -794,10 +794,7 @@ impl BucketScheduler {
                 min_layer,
             }
         } else {
-            let handle = match &self.ft {
-                Some(cfg) => iallreduce_ft(&self.comm, data, ReduceOp::Sum, cfg)?,
-                None => iallreduce(&self.comm, data, ReduceOp::Sum)?,
-            };
+            let handle = iallreduce(&self.comm, data, ReduceOp::Sum, self.ft.as_ref())?;
             PendingBucket {
                 handle: Some(handle),
                 data: None,

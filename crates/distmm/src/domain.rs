@@ -115,7 +115,7 @@ pub fn forward(
     let per_row_flops = 2.0 * weights.len() as f64 * (out_w * x_strip.n) as f64;
     let interior_rows = x_strip.h.saturating_sub(2 * k2);
 
-    let (halo, ()) = exchange_1d(comm, top_rows.as_slice(), bot_rows.as_slice(), || {
+    let (halo, ()) = exchange_1d(comm, top_rows.as_slice(), bot_rows.as_slice(), None, || {
         // Interior rows can be convolved while halos are in flight.
         comm.advance_flops(per_row_flops * interior_rows as f64);
     })?;
@@ -164,7 +164,7 @@ pub fn backward(
     // either way, which is what the cost model charges).
     let top_rows = x_strip.row_strip(0, k2.min(x_strip.h));
     let bot_rows = x_strip.row_strip(x_strip.h.saturating_sub(k2), x_strip.h);
-    let (halo, ()) = exchange_1d(comm, top_rows.as_slice(), bot_rows.as_slice(), || ())?;
+    let (halo, ()) = exchange_1d(comm, top_rows.as_slice(), bot_rows.as_slice(), None, || ())?;
     let ext = extend_strip(
         x_strip,
         halo.from_prev.as_deref(),

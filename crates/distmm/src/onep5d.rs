@@ -22,12 +22,9 @@
 
 use std::cell::Cell;
 
-use collectives::ft::{allgatherv_ring_ft, allreduce_ring_ft};
-use collectives::nonblocking::{
-    iallgatherv, iallgatherv_ft, iallreduce, iallreduce_ft, IallgathervHandle,
-};
-use collectives::ring::allgatherv_ring;
-use collectives::{allreduce, FtConfig, ReduceOp};
+use collectives::nonblocking::{iallgatherv, iallreduce, IallgathervHandle};
+use collectives::ring::{allgatherv, allreduce_ring};
+use collectives::{FtConfig, ReduceOp};
 use mpsim::{apply_flips, Communicator, Error, FaultCtx, Result};
 use tensor::abft::{self, Verdict};
 use tensor::matmul::{matmul, matmul_a_bt, matmul_at_b, matmul_flops};
@@ -258,11 +255,16 @@ impl OpCtx<'_> {
         }
     }
 
-    fn allreduce(&self, comm: &Communicator, data: &mut [f64]) -> Result<()> {
+    /// The collectives' receive policy: `None` when plain.
+    fn ft(&self) -> Option<&FtConfig> {
         match self {
-            OpCtx::Plain => allreduce(comm, data, ReduceOp::Sum),
-            OpCtx::Ft { ft, .. } => allreduce_ring_ft(comm, data, ReduceOp::Sum, ft),
+            OpCtx::Plain => None,
+            OpCtx::Ft { ft, .. } => Some(ft),
         }
+    }
+
+    fn allreduce(&self, comm: &Communicator, data: &mut [f64]) -> Result<()> {
+        allreduce_ring(comm, data, ReduceOp::Sum, self.ft())
     }
 
     /// The guarded local partial `W_i·X_j`.
@@ -302,10 +304,7 @@ impl OpCtx<'_> {
         if grid.pr == 1 {
             return Ok(y_partial);
         }
-        let blocks = match self {
-            OpCtx::Plain => allgatherv_ring(&grid.col_comm, y_partial.as_slice())?,
-            OpCtx::Ft { ft, .. } => allgatherv_ring_ft(&grid.col_comm, y_partial.as_slice(), ft)?,
-        };
+        let blocks = allgatherv(&grid.col_comm, y_partial.as_slice(), self.ft())?;
         let mats: Vec<Matrix> = blocks
             .into_iter()
             .map(|v| {
@@ -345,8 +344,8 @@ impl OpCtx<'_> {
     /// the local partial `∆Y_{i,j}·X_jᵀ` — *not* yet summed over the
     /// `Pc`-sized row group — and the fully reduced `∆X_j`. The caller
     /// owns the row-group sum, typically as a bucketed non-blocking
-    /// all-reduce ([`collectives::nonblocking::iallreduce`], or
-    /// `iallreduce_ft` to keep the fault semantics) so the transfer
+    /// all-reduce ([`collectives::nonblocking::iallreduce`], with this
+    /// op's policy to keep the fault semantics) so the transfer
     /// overlaps the remaining backward compute — the overlap engine of
     /// `integrated::trainer::train_1p5d_scheduled`.
     pub fn backward_dw_deferred(
@@ -384,12 +383,7 @@ impl OpCtx<'_> {
         let rows = grid.w_rows(dy_local.rows());
         let dy_i = dy_local.row_block(rows.start, rows.end);
         let dx = self.dx_partial(grid, w_local, &dy_i)?;
-        let h = match self {
-            OpCtx::Plain => iallreduce(&grid.col_comm, dx.into_vec(), ReduceOp::Sum)?,
-            OpCtx::Ft { ft, .. } => {
-                iallreduce_ft(&grid.col_comm, dx.into_vec(), ReduceOp::Sum, ft)?
-            }
-        };
+        let h = iallreduce(&grid.col_comm, dx.into_vec(), ReduceOp::Sum, self.ft())?;
         let dw = self.dw_partial(grid, &dy_i, x_local)?;
         let dx = Matrix::from_vec(w_local.cols(), dy_i.cols(), h.wait()?);
         Ok((dw, dx))
@@ -461,10 +455,7 @@ impl PipelinedForward {
                 bloc,
             });
         }
-        let handle = match ctx {
-            OpCtx::Plain => iallgatherv(&grid.col_comm, y_partial.as_slice())?,
-            OpCtx::Ft { ft, .. } => iallgatherv_ft(&grid.col_comm, y_partial.as_slice(), ft)?,
-        };
+        let handle = iallgatherv(&grid.col_comm, y_partial.as_slice(), ctx.ft())?;
         Ok(PipelinedForward {
             local: None,
             handle: Some(handle),
@@ -496,6 +487,7 @@ impl PipelinedForward {
 mod tests {
     use super::*;
     use crate::dist::{col_shard, part_range, row_shard};
+    use collectives::allreduce;
     use mpsim::{NetModel, World};
     use tensor::init;
 

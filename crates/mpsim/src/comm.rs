@@ -140,6 +140,24 @@ enum Matched {
     Unreachable(f64),
 }
 
+/// Where a data receive charges its transfer and how its deadline is
+/// measured — the only parts in which [`Communicator::recv`],
+/// [`Communicator::wait`] and [`Communicator::recv_channel`] differ.
+#[derive(Clone, Copy)]
+enum RecvMode {
+    /// The main clock pays `max(now, avail) + transfer`; the deadline
+    /// is the timeout after `now`.
+    Blocking(Option<f64>),
+    /// The transfer overlapped everything since the post: the clock
+    /// only clamps forward to the arrival; the deadline is the
+    /// handle's, fixed when it was posted.
+    Wait,
+    /// The concurrent comm channel pays the transfer and the main
+    /// clock does not move; the deadline is the timeout after
+    /// `max(now, comm_busy)`.
+    Channel(Option<f64>),
+}
+
 impl Inner {
     /// Builds the per-rank state shared by both execution backends.
     ///
@@ -336,6 +354,25 @@ impl Inner {
             .entry((env.ctx, env.src, env.tag))
             .or_default()
             .push_front(env);
+    }
+
+    /// Counts a receive timeout and, when the receive had a deadline,
+    /// charges the wait from `posted_at` up to it as communication.
+    fn expire(&mut self, peer: usize, posted_at: f64, deadline: Option<f64>) {
+        self.stats.timeouts += 1;
+        let Some(d) = deadline else { return };
+        self.clock.sync_to(d);
+        if self.tracer.enabled() {
+            let t1 = self.clock.now;
+            self.tracer.span(
+                "comm",
+                "timeout",
+                Track::Main,
+                posted_at,
+                t1,
+                &[("peer", peer as f64)],
+            );
+        }
     }
 
     /// Feeds the adaptive detector at a message-consumption point:
@@ -781,30 +818,7 @@ impl Communicator {
 
     /// Like [`Communicator::send`] but takes ownership, avoiding a copy.
     pub fn send_vec(&self, dst: Rank, tag: Tag, data: Vec<f64>) -> Result<()> {
-        let dst_global = self.global_rank_of(dst)?;
-        let mut i = self.inner.borrow_mut();
-        i.check_failed()?;
-        let env = Envelope {
-            ctx: self.ctx,
-            src: i.global_rank,
-            tag,
-            depart: i.clock.now,
-            seq: 0,
-            csum: None,
-            dup: false,
-            severed: false,
-            data: Payload::Words(data),
-        };
-        i.post(dst_global, env)
-    }
-
-    /// Non-blocking send. Sends in this simulator are already eager —
-    /// they never block and charge no local time — so `isend` is
-    /// [`Communicator::send_vec`] under the MPI-style name; it exists
-    /// so non-blocking code reads symmetrically with
-    /// [`Communicator::recv_channel`].
-    pub fn isend(&self, dst: Rank, tag: Tag, data: Vec<f64>) -> Result<()> {
-        self.send_vec(dst, tag, data)
+        self.send_vec_at(dst, tag, data, self.now())
     }
 
     /// Eager send whose envelope departs at the explicit virtual time
@@ -815,6 +829,11 @@ impl Communicator {
     /// backed up) than `now`.
     pub fn send_vec_at(&self, dst: Rank, tag: Tag, data: Vec<f64>, depart: f64) -> Result<()> {
         debug_assert!(depart >= 0.0, "negative departure time");
+        self.post(dst, tag, depart, Payload::Words(data))
+    }
+
+    /// Posts one envelope from this rank to `dst`, departing at `depart`.
+    fn post(&self, dst: Rank, tag: Tag, depart: f64, data: Payload) -> Result<()> {
         let dst_global = self.global_rank_of(dst)?;
         let mut i = self.inner.borrow_mut();
         i.check_failed()?;
@@ -827,7 +846,7 @@ impl Communicator {
             csum: None,
             dup: false,
             severed: false,
-            data: Payload::Words(data),
+            data,
         };
         i.post(dst_global, env)
     }
@@ -844,7 +863,9 @@ impl Communicator {
     /// [`Error::Aborted`] when the peer died or abandoned the phase.
     pub fn recv(&self, src: Rank, tag: Tag) -> Result<Vec<f64>> {
         let timeout = self.inner.borrow().plan.default_timeout();
-        self.recv_deadline(src, tag, timeout)
+        let h = self.irecv(src, tag)?;
+        self.complete(&h, RecvMode::Blocking(timeout))
+            .map(|c| c.data)
     }
 
     /// Blocking receive that gives up after `timeout` virtual seconds.
@@ -853,26 +874,12 @@ impl Communicator {
     /// is charged the full wait (as communication time) and
     /// [`Error::Timeout`] is returned. A late — not dropped — message
     /// stays buffered, so a retry that waits long enough still gets it:
-    /// see [`Communicator::recv_retry`].
+    /// see [`Communicator::recv_retry_policy`].
     pub fn recv_timeout(&self, src: Rank, tag: Tag, timeout: f64) -> Result<Vec<f64>> {
         assert!(timeout > 0.0, "timeout must be positive");
-        self.recv_deadline(src, tag, Some(timeout))
-    }
-
-    /// [`Communicator::recv_timeout`] with `attempts` tries, advancing
-    /// the virtual clock by `backoff` (communication time) between
-    /// consecutive tries. Retries only on [`Error::Timeout`]; any other
-    /// error propagates immediately. Constant backoff — see
-    /// [`Communicator::recv_retry_policy`] for exponential + jitter.
-    pub fn recv_retry(
-        &self,
-        src: Rank,
-        tag: Tag,
-        timeout: f64,
-        attempts: usize,
-        backoff: f64,
-    ) -> Result<Vec<f64>> {
-        self.recv_retry_policy(src, tag, &RetryPolicy::fixed(timeout, attempts, backoff))
+        let h = self.irecv(src, tag)?;
+        self.complete(&h, RecvMode::Blocking(Some(timeout)))
+            .map(|c| c.data)
     }
 
     /// Retrying receive under a full [`RetryPolicy`]: `attempts`
@@ -880,7 +887,8 @@ impl Communicator {
     /// pauses each stretched by up to `jitter` (a deterministic draw
     /// keyed on the plan seed, the link, and the retry count — so
     /// contending retriers desynchronize, yet replays are
-    /// bit-identical). Retries only on [`Error::Timeout`].
+    /// bit-identical). Retries only on [`Error::Timeout`]; any other
+    /// error propagates immediately.
     pub fn recv_retry_policy(&self, src: Rank, tag: Tag, policy: &RetryPolicy) -> Result<Vec<f64>> {
         assert!(policy.attempts > 0, "need at least one attempt");
         let mut last = None;
@@ -924,145 +932,15 @@ impl Communicator {
         Err(last.expect("at least one attempt ran"))
     }
 
-    fn recv_deadline(&self, src: Rank, tag: Tag, timeout: Option<f64>) -> Result<Vec<f64>> {
-        let src_global = self.global_rank_of(src)?;
-        let mut i = self.inner.borrow_mut();
-        i.check_failed()?;
-        let posted_at = i.clock.now;
-        let deadline = timeout.map(|t| i.clock.now + t);
-        match i.match_recv(self.ctx, src_global, tag, true)? {
-            Matched::Data(env) => {
-                let words = env.data.words();
-                let me = i.global_rank;
-                let (fa, fb) = i.topo.factors(env.src, me);
-                let extra = if i.plan.active() {
-                    i.plan.extra_delay(env.src, me, env.seq)
-                } else {
-                    0.0
-                };
-                let transfer = fa * i.model.alpha + fb * i.model.beta * words as f64;
-                // A straggler delay holds the message in flight: it
-                // postpones availability (like a later departure) rather
-                // than lengthening the receiver-side transfer, so a
-                // retry that waits long enough can still catch it.
-                let avail = env.depart + extra;
-                if let Some(d) = deadline {
-                    if i.clock.now.max(avail) + transfer > d {
-                        i.unmatch(env);
-                        i.stats.timeouts += 1;
-                        i.clock.sync_to(d);
-                        if i.tracer.enabled() {
-                            let t1 = i.clock.now;
-                            i.tracer.span(
-                                "comm",
-                                "timeout",
-                                Track::Main,
-                                posted_at,
-                                t1,
-                                &[("peer", src_global as f64)],
-                            );
-                        }
-                        return Err(Error::Timeout {
-                            rank: src,
-                            tag,
-                            waited: timeout.expect("deadline implies timeout"),
-                        });
-                    }
-                }
-                i.clock.complete_recv(avail, transfer);
-                i.stats.transfer_secs += transfer;
-                i.stats.straggler_wait += extra;
-                let waited = i.clock.now - posted_at;
-                i.observe_peer(src_global, Some(waited));
-                if i.tracer.enabled() {
-                    let t1 = i.clock.now;
-                    i.tracer.span(
-                        "comm",
-                        "recv",
-                        Track::Main,
-                        posted_at,
-                        t1,
-                        &[("peer", src_global as f64), ("words", words as f64)],
-                    );
-                }
-                if let (Some(csum), Payload::Words(v)) = (env.csum, &env.data) {
-                    if fault::checksum(v) != csum {
-                        // Envelope rejections always escalate to the
-                        // caller's rollback path — there is no in-place
-                        // repair for a wire flip.
-                        i.stats.corrupt_recovered += 1;
-                        let ctx = i.fault_ctx;
-                        return Err(Error::Corrupted {
-                            rank: src,
-                            tag,
-                            ctx,
-                        });
-                    }
-                }
-                match env.data {
-                    Payload::Words(v) => Ok(v),
-                    _ => unreachable!("non-data payload matched on data tag"),
-                }
-            }
-            Matched::Dropped => {
-                i.stats.timeouts += 1;
-                let waited = match deadline {
-                    Some(d) => {
-                        i.clock.sync_to(d);
-                        if i.tracer.enabled() {
-                            let t1 = i.clock.now;
-                            i.tracer.span(
-                                "comm",
-                                "timeout",
-                                Track::Main,
-                                posted_at,
-                                t1,
-                                &[("peer", src_global as f64)],
-                            );
-                        }
-                        timeout.expect("deadline implies timeout")
-                    }
-                    // No deadline, but the simulator knows the message
-                    // is lost: report an unbounded wait instead of
-                    // hanging the thread forever.
-                    None => f64::INFINITY,
-                };
-                Err(Error::Timeout {
-                    rank: src,
-                    tag,
-                    waited,
-                })
-            }
-            Matched::PeerDead(at) => Err(i.surface_death(src_global, at)),
-            Matched::PeerAborted(culprit) => Err(Error::Aborted { culprit }),
-            Matched::Unreachable(at) => Err(i.surface_unreachable(src_global, at)),
-        }
-    }
-
-    /// Blocking receive into a caller-provided buffer; errors if the
-    /// payload length differs from `buf.len()`.
-    pub fn recv_into(&self, src: Rank, tag: Tag, buf: &mut [f64]) -> Result<()> {
-        let v = self.recv(src, tag)?;
-        if v.len() != buf.len() {
-            return Err(Error::LengthMismatch {
-                expected: buf.len(),
-                got: v.len(),
-            });
-        }
-        buf.copy_from_slice(&v);
-        Ok(())
-    }
-
     /// Posts a non-blocking receive. The matching message is considered
     /// to arrive at `depart + α + β·words` *independently of what this
     /// rank does meanwhile* — i.e. a perfectly overlapped transfer, the
     /// assumption the paper makes for halo exchanges (Fig. 3) and for
     /// Fig. 8's overlap study. Complete with [`Communicator::wait`].
     pub fn irecv(&self, src: Rank, tag: Tag) -> Result<RecvHandle> {
-        let src_global = self.global_rank_of(src)?;
         Ok(RecvHandle {
             ctx: self.ctx,
-            src_global,
+            src_global: self.global_rank_of(src)?,
             src,
             tag,
             deadline: None,
@@ -1074,15 +952,9 @@ impl Communicator {
     /// [`Communicator::wait`] return [`Error::Timeout`] at the deadline.
     pub fn irecv_timeout(&self, src: Rank, tag: Tag, timeout: f64) -> Result<RecvHandle> {
         assert!(timeout > 0.0, "timeout must be positive");
-        let src_global = self.global_rank_of(src)?;
-        let deadline = Some(self.inner.borrow().clock.now + timeout);
-        Ok(RecvHandle {
-            ctx: self.ctx,
-            src_global,
-            src,
-            tag,
-            deadline,
-        })
+        let mut h = self.irecv(src, tag)?;
+        h.deadline = Some(self.now() + timeout);
+        Ok(h)
     }
 
     /// Completes a non-blocking receive, clamping the clock forward to
@@ -1091,108 +963,7 @@ impl Communicator {
     /// surfaces drops, peer death, and aborts like
     /// [`Communicator::recv`].
     pub fn wait(&self, handle: RecvHandle) -> Result<Vec<f64>> {
-        let mut i = self.inner.borrow_mut();
-        i.check_failed()?;
-        let posted_at = i.clock.now;
-        match i.match_recv(handle.ctx, handle.src_global, handle.tag, true)? {
-            Matched::Data(env) => {
-                let words = env.data.words();
-                let me = i.global_rank;
-                let (fa, fb) = i.topo.factors(env.src, me);
-                let extra = if i.plan.active() {
-                    i.plan.extra_delay(env.src, me, env.seq)
-                } else {
-                    0.0
-                };
-                let arrival =
-                    env.depart + fa * i.model.alpha + fb * i.model.beta * words as f64 + extra;
-                if let Some(d) = handle.deadline {
-                    if arrival > d {
-                        i.unmatch(env);
-                        i.stats.timeouts += 1;
-                        let waited = (d - i.clock.now).max(0.0);
-                        i.clock.sync_to(d);
-                        if i.tracer.enabled() {
-                            let t1 = i.clock.now;
-                            i.tracer.span(
-                                "comm",
-                                "timeout",
-                                Track::Main,
-                                posted_at,
-                                t1,
-                                &[("peer", handle.src_global as f64)],
-                            );
-                        }
-                        return Err(Error::Timeout {
-                            rank: handle.src,
-                            tag: handle.tag,
-                            waited,
-                        });
-                    }
-                }
-                i.clock.complete_wait(arrival);
-                i.stats.transfer_secs += fa * i.model.alpha + fb * i.model.beta * words as f64;
-                i.stats.straggler_wait += extra;
-                let waited = i.clock.now - posted_at;
-                i.observe_peer(handle.src_global, Some(waited));
-                if i.tracer.enabled() {
-                    let t1 = i.clock.now;
-                    i.tracer.span(
-                        "comm",
-                        "wait",
-                        Track::Main,
-                        posted_at,
-                        t1,
-                        &[("peer", handle.src_global as f64), ("words", words as f64)],
-                    );
-                }
-                if let (Some(csum), Payload::Words(v)) = (env.csum, &env.data) {
-                    if fault::checksum(v) != csum {
-                        i.stats.corrupt_recovered += 1;
-                        let ctx = i.fault_ctx;
-                        return Err(Error::Corrupted {
-                            rank: handle.src,
-                            tag: handle.tag,
-                            ctx,
-                        });
-                    }
-                }
-                match env.data {
-                    Payload::Words(v) => Ok(v),
-                    _ => unreachable!("non-data payload matched on data tag"),
-                }
-            }
-            Matched::Dropped => {
-                i.stats.timeouts += 1;
-                let waited = match handle.deadline {
-                    Some(d) => {
-                        let w = (d - i.clock.now).max(0.0);
-                        i.clock.sync_to(d);
-                        if i.tracer.enabled() {
-                            let t1 = i.clock.now;
-                            i.tracer.span(
-                                "comm",
-                                "timeout",
-                                Track::Main,
-                                posted_at,
-                                t1,
-                                &[("peer", handle.src_global as f64)],
-                            );
-                        }
-                        w
-                    }
-                    None => f64::INFINITY,
-                };
-                Err(Error::Timeout {
-                    rank: handle.src,
-                    tag: handle.tag,
-                    waited,
-                })
-            }
-            Matched::PeerDead(at) => Err(i.surface_death(handle.src_global, at)),
-            Matched::PeerAborted(culprit) => Err(Error::Aborted { culprit }),
-            Matched::Unreachable(at) => Err(i.surface_unreachable(handle.src_global, at)),
-        }
+        self.complete(&handle, RecvMode::Wait).map(|c| c.data)
     }
 
     /// Progresses a non-blocking operation by one receive, charging the
@@ -1222,110 +993,135 @@ impl Communicator {
         tag: Tag,
         timeout: Option<f64>,
     ) -> Result<ChannelRecv> {
-        let src_global = self.global_rank_of(src)?;
+        let h = self.irecv(src, tag)?;
+        self.complete(&h, RecvMode::Channel(timeout))
+    }
+
+    /// The one receive completion behind [`Communicator::recv`],
+    /// [`Communicator::wait`] and [`Communicator::recv_channel`]: matches
+    /// the next message for `h`, enforces the mode's deadline (a late
+    /// message stays buffered for a later receive), charges the α–β
+    /// transfer where the mode says, feeds the failure detector, checks
+    /// the envelope checksum, and maps drops, deaths, aborts and
+    /// partitions to errors. For the main-clock modes `ready_at` is the
+    /// clock after the receive.
+    fn complete(&self, h: &RecvHandle, mode: RecvMode) -> Result<ChannelRecv> {
         let mut i = self.inner.borrow_mut();
         i.check_failed()?;
         let posted_at = i.clock.now;
-        let deadline = timeout.map(|t| i.clock.now.max(i.clock.comm_busy) + t);
-        match i.match_recv(self.ctx, src_global, tag, true)? {
-            Matched::Data(env) => {
-                let words = env.data.words();
-                let me = i.global_rank;
-                let (fa, fb) = i.topo.factors(env.src, me);
-                let extra = if i.plan.active() {
-                    i.plan.extra_delay(env.src, me, env.seq)
-                } else {
-                    0.0
-                };
-                let transfer = fa * i.model.alpha + fb * i.model.beta * words as f64;
-                let avail = env.depart + extra;
-                if let Some(d) = deadline {
-                    if i.clock.comm_busy.max(avail) + transfer > d {
-                        i.unmatch(env);
-                        i.stats.timeouts += 1;
-                        i.clock.sync_to(d);
-                        if i.tracer.enabled() {
-                            let t1 = i.clock.now;
-                            i.tracer.span(
-                                "comm",
-                                "timeout",
-                                Track::Main,
-                                posted_at,
-                                t1,
-                                &[("peer", src_global as f64)],
-                            );
-                        }
-                        return Err(Error::Timeout {
-                            rank: src,
-                            tag,
-                            waited: timeout.expect("deadline implies timeout"),
-                        });
-                    }
-                }
+        // (absolute deadline, the `waited` a timeout reports)
+        let deadline = match mode {
+            RecvMode::Blocking(t) => t.map(|t| (i.clock.now + t, t)),
+            RecvMode::Wait => h.deadline.map(|d| (d, (d - i.clock.now).max(0.0))),
+            RecvMode::Channel(t) => t.map(|t| (i.clock.now.max(i.clock.comm_busy) + t, t)),
+        };
+        let timeout = |waited| Error::Timeout {
+            rank: h.src,
+            tag: h.tag,
+            waited,
+        };
+        let env = match i.match_recv(h.ctx, h.src_global, h.tag, true)? {
+            Matched::Data(env) => env,
+            Matched::Dropped => {
+                i.expire(h.src_global, posted_at, deadline.map(|(d, _)| d));
+                // Without a deadline the simulator still knows the
+                // message is lost: report an unbounded wait instead of
+                // hanging the rank forever.
+                return Err(timeout(deadline.map_or(f64::INFINITY, |(_, w)| w)));
+            }
+            Matched::PeerDead(at) => return Err(i.surface_death(h.src_global, at)),
+            Matched::PeerAborted(culprit) => return Err(Error::Aborted { culprit }),
+            Matched::Unreachable(at) => return Err(i.surface_unreachable(h.src_global, at)),
+        };
+        let words = env.data.words();
+        let me = i.global_rank;
+        let (fa, fb) = i.topo.factors(env.src, me);
+        let extra = if i.plan.active() {
+            i.plan.extra_delay(env.src, me, env.seq)
+        } else {
+            0.0
+        };
+        let transfer = fa * i.model.alpha + fb * i.model.beta * words as f64;
+        // A straggler delay holds the message in flight: it postpones
+        // availability (like a later departure) rather than lengthening
+        // the receiver-side transfer, so a retry that waits long enough
+        // can still catch it.
+        let avail = env.depart + extra;
+        // When the transfer finishes on the timeline the mode charges.
+        let finish = match mode {
+            RecvMode::Blocking(_) => i.clock.now.max(avail) + transfer,
+            RecvMode::Wait => {
+                env.depart + fa * i.model.alpha + fb * i.model.beta * words as f64 + extra
+            }
+            RecvMode::Channel(_) => i.clock.comm_busy.max(avail) + transfer,
+        };
+        if let Some((d, waited)) = deadline {
+            if finish > d {
+                i.unmatch(env);
+                i.expire(h.src_global, posted_at, Some(d));
+                return Err(timeout(waited));
+            }
+        }
+        let ready_at = match mode {
+            RecvMode::Blocking(_) => {
+                i.clock.complete_recv(avail, transfer);
+                i.stats.transfer_secs += transfer;
+                i.clock.now
+            }
+            RecvMode::Wait => {
+                i.clock.complete_wait(finish);
+                i.stats.transfer_secs += transfer;
+                i.clock.now
+            }
+            RecvMode::Channel(_) => {
                 let ready_at = i.clock.channel_transfer(avail, transfer);
                 i.stats.channel_secs += transfer;
-                i.stats.straggler_wait += extra;
-                i.observe_peer(src_global, None);
-                if i.tracer.enabled() {
-                    i.tracer.span(
-                        "channel",
-                        "xfer",
-                        Track::Channel,
-                        ready_at - transfer,
-                        ready_at,
-                        &[("peer", src_global as f64), ("words", words as f64)],
-                    );
-                }
-                if let (Some(csum), Payload::Words(v)) = (env.csum, &env.data) {
-                    if fault::checksum(v) != csum {
-                        i.stats.corrupt_recovered += 1;
-                        let ctx = i.fault_ctx;
-                        return Err(Error::Corrupted {
-                            rank: src,
-                            tag,
-                            ctx,
-                        });
-                    }
-                }
-                match env.data {
-                    Payload::Words(v) => Ok(ChannelRecv {
-                        data: v,
-                        ready_at,
-                        transfer,
-                    }),
-                    _ => unreachable!("non-data payload matched on data tag"),
-                }
+                ready_at
             }
-            Matched::Dropped => {
-                i.stats.timeouts += 1;
-                let waited = match deadline {
-                    Some(d) => {
-                        i.clock.sync_to(d);
-                        if i.tracer.enabled() {
-                            let t1 = i.clock.now;
-                            i.tracer.span(
-                                "comm",
-                                "timeout",
-                                Track::Main,
-                                posted_at,
-                                t1,
-                                &[("peer", src_global as f64)],
-                            );
-                        }
-                        timeout.expect("deadline implies timeout")
-                    }
-                    None => f64::INFINITY,
-                };
-                Err(Error::Timeout {
-                    rank: src,
-                    tag,
-                    waited,
-                })
-            }
-            Matched::PeerDead(at) => Err(i.surface_death(src_global, at)),
-            Matched::PeerAborted(culprit) => Err(Error::Aborted { culprit }),
-            Matched::Unreachable(at) => Err(i.surface_unreachable(src_global, at)),
+        };
+        i.stats.straggler_wait += extra;
+        let (cat, name, track, t0, sample) = match mode {
+            RecvMode::Blocking(_) => ("comm", "recv", Track::Main, posted_at, true),
+            RecvMode::Wait => ("comm", "wait", Track::Main, posted_at, true),
+            RecvMode::Channel(_) => (
+                "channel",
+                "xfer",
+                Track::Channel,
+                ready_at - transfer,
+                false,
+            ),
+        };
+        let waited = i.clock.now - posted_at;
+        i.observe_peer(h.src_global, sample.then_some(waited));
+        if i.tracer.enabled() {
+            i.tracer.span(
+                cat,
+                name,
+                track,
+                t0,
+                ready_at,
+                &[("peer", h.src_global as f64), ("words", words as f64)],
+            );
         }
+        let Payload::Words(data) = env.data else {
+            unreachable!("non-data payload matched on data tag")
+        };
+        if env.csum.is_some_and(|csum| fault::checksum(&data) != csum) {
+            // Envelope rejections always escalate to the caller's
+            // rollback path — there is no in-place repair for a wire
+            // flip.
+            i.stats.corrupt_recovered += 1;
+            return Err(Error::Corrupted {
+                rank: h.src,
+                tag: h.tag,
+                ctx: i.fault_ctx,
+            });
+        }
+        Ok(ChannelRecv {
+            data,
+            ready_at,
+            transfer,
+        })
     }
 
     /// Completes a non-blocking operation whose channel work finished
@@ -1414,21 +1210,7 @@ impl Communicator {
 
     /// Zero-virtual-time control-plane send (communicator management).
     pub fn send_control(&self, dst: Rank, tag: Tag, data: Vec<u8>) -> Result<()> {
-        let dst_global = self.global_rank_of(dst)?;
-        let mut i = self.inner.borrow_mut();
-        i.check_failed()?;
-        let env = Envelope {
-            ctx: self.ctx,
-            src: i.global_rank,
-            tag,
-            depart: 0.0,
-            seq: 0,
-            csum: None,
-            dup: false,
-            severed: false,
-            data: Payload::Control(data),
-        };
-        i.post(dst_global, env)
+        self.post(dst, tag, 0.0, Payload::Control(data))
     }
 
     /// Zero-virtual-time control-plane receive. The control plane is
@@ -2608,7 +2390,9 @@ mod tests {
                 // Window 1 ends at t=6 < availability (t=10): timeout.
                 // Backoff to 6.5, window 2 ends at 12.5: the message
                 // (available at 10, transfer 1) completes at t=11.
-                let v = comm.recv_retry(0, 3, 6.0, 3, 0.5).unwrap();
+                let v = comm
+                    .recv_retry_policy(0, 3, &RetryPolicy::fixed(6.0, 3, 0.5))
+                    .unwrap();
                 (v, comm.now())
             }
         });
@@ -3069,7 +2853,9 @@ mod tests {
             flops: f64::INFINITY,
         };
         let late_plan = || crate::FaultPlan::new(1).straggle(0, 1, 10.0, 0.0, crate::Span::Once(0));
-        let columns: [(&str, fn() -> crate::FaultPlan, &[f64]); 4] = [
+        // (name, fault plan, timeouts of the successive receives)
+        type Column = (&'static str, fn() -> crate::FaultPlan, &'static [f64]);
+        let columns: [Column; 4] = [
             ("on_time", || crate::FaultPlan::new(1), &[5.0]),
             ("late", late_plan, &[2.0, 20.0]),
             (

@@ -44,14 +44,6 @@ pub enum Error {
         /// Global rank of the unreachable peer.
         peer: usize,
     },
-    /// A received payload had a different length than the caller
-    /// required (`recv_into` with a fixed-size buffer).
-    LengthMismatch {
-        /// Expected element count.
-        expected: usize,
-        /// Received element count.
-        got: usize,
-    },
     /// A collective was invoked with inconsistent arguments across
     /// ranks (detected opportunistically).
     CollectiveMismatch(String),
@@ -138,12 +130,6 @@ impl fmt::Display for Error {
                     "peer rank {peer} disconnected (thread panicked or exited early)"
                 )
             }
-            Error::LengthMismatch { expected, got } => {
-                write!(
-                    f,
-                    "payload length mismatch: expected {expected} elements, got {got}"
-                )
-            }
             Error::CollectiveMismatch(msg) => write!(f, "collective argument mismatch: {msg}"),
             Error::Timeout { rank, tag, waited } => {
                 write!(
@@ -192,10 +178,6 @@ mod tests {
         vec![
             Error::RankOutOfRange { rank: 5, size: 4 },
             Error::Disconnected { peer: 2 },
-            Error::LengthMismatch {
-                expected: 8,
-                got: 6,
-            },
             Error::CollectiveMismatch("block sizes differ".into()),
             Error::Timeout {
                 rank: 1,
@@ -223,27 +205,26 @@ mod tests {
         let msgs: Vec<String> = all_variants().iter().map(|e| e.to_string()).collect();
         assert!(msgs[0].contains("rank 5") && msgs[0].contains("size 4"));
         assert!(msgs[1].contains("peer rank 2"));
-        assert!(msgs[2].contains("expected 8") && msgs[2].contains("got 6"));
-        assert!(msgs[3].contains("block sizes differ"));
+        assert!(msgs[2].contains("block sizes differ"));
         assert!(
-            msgs[4].contains("rank 1") && msgs[4].contains("tag 42") && msgs[4].contains("2.5")
+            msgs[3].contains("rank 1") && msgs[3].contains("tag 42") && msgs[3].contains("2.5")
         );
-        assert!(msgs[5].contains("rank 3") && msgs[5].contains("failed"));
-        assert!(msgs[6].contains("rank 0") && msgs[6].contains("checksum"));
+        assert!(msgs[4].contains("rank 3") && msgs[4].contains("failed"));
+        assert!(msgs[5].contains("rank 0") && msgs[5].contains("checksum"));
         assert!(
-            msgs[6].contains("iter 3") && msgs[6].contains("op 2"),
+            msgs[5].contains("iter 3") && msgs[5].contains("op 2"),
             "context tag rendered: {}",
-            msgs[6]
+            msgs[5]
         );
-        assert!(msgs[7].contains("rank 6") && msgs[7].contains("abort"));
-        assert!(msgs[8].contains("rank 4") && msgs[8].contains("unreachable"));
+        assert!(msgs[6].contains("rank 6") && msgs[6].contains("abort"));
+        assert!(msgs[7].contains("rank 4") && msgs[7].contains("unreachable"));
         assert!(
-            msgs[9].contains("rank 5")
-                && msgs[9].contains("silent")
-                && msgs[9].contains("gemm")
-                && msgs[9].contains("iter 1"),
+            msgs[8].contains("rank 5")
+                && msgs[8].contains("silent")
+                && msgs[8].contains("gemm")
+                && msgs[8].contains("iter 1"),
             "got: {}",
-            msgs[9]
+            msgs[8]
         );
         // Without a registered context the tag is simply absent.
         let bare = Error::Corrupted {

@@ -130,7 +130,7 @@ impl World {
         T: Send,
         F: Fn(&Communicator) -> T + Sync,
     {
-        Self::run_topo_with_stats(size, model, Topology::flat(), f)
+        Self::run_with_faults(size, model, FaultPlan::default(), f)
     }
 
     /// Runs under a hierarchical [`Topology`]: intra-node messages get
@@ -144,25 +144,8 @@ impl World {
         T: Send,
         F: Fn(&Communicator) -> T + Sync,
     {
-        Self::run_topo_with_stats(size, model, topo, f).0
-    }
-
-    /// [`World::run_topo`] with statistics.
-    ///
-    /// # Panics
-    ///
-    /// As [`World::run`]: `size == 0`, or a rank panic.
-    pub fn run_topo_with_stats<T, F>(
-        size: usize,
-        model: NetModel,
-        topo: Topology,
-        f: F,
-    ) -> (Vec<T>, WorldStats)
-    where
-        T: Send,
-        F: Fn(&Communicator) -> T + Sync,
-    {
-        Self::run_topo_faults_with_stats(size, model, topo, FaultPlan::default(), f)
+        let plan = FaultPlan::default();
+        Self::run_topo_faults_traced(size, model, topo, plan, TraceConfig::disabled(), f).0
     }
 
     /// Runs under a deterministic [`FaultPlan`]: drops, stragglers,
@@ -185,29 +168,8 @@ impl World {
         T: Send,
         F: Fn(&Communicator) -> T + Sync,
     {
-        Self::run_topo_faults_with_stats(size, model, Topology::flat(), plan, f)
-    }
-
-    /// The fully general entry point: topology + fault plan + stats.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size == 0`, if `plan` fails [`FaultPlan::validate`]
-    /// (message `invalid fault plan: …`, raised before any rank runs),
-    /// or if a rank panics.
-    pub fn run_topo_faults_with_stats<T, F>(
-        size: usize,
-        model: NetModel,
-        topo: Topology,
-        plan: FaultPlan,
-        f: F,
-    ) -> (Vec<T>, WorldStats)
-    where
-        T: Send,
-        F: Fn(&Communicator) -> T + Sync,
-    {
         let (out, stats, _) =
-            Self::run_topo_faults_traced(size, model, topo, plan, TraceConfig::disabled(), f);
+            Self::run_faults_traced(size, model, plan, TraceConfig::disabled(), f);
         (out, stats)
     }
 

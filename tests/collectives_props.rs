@@ -42,7 +42,7 @@ proptest! {
         let expect = naive_reduce(p, n, seed, op);
         let out = World::run(p, NetModel::free(), |comm| {
             let mut data = contribution(comm.rank(), n, seed);
-            allreduce_ring(comm, &mut data, op).unwrap();
+            allreduce_ring(comm, &mut data, op, None).unwrap();
             data
         });
         for r in 0..p {
@@ -122,14 +122,14 @@ proptest! {
         };
         let reduce_time = World::run(p, model, |comm| {
             let mut data = vec![1.0; n];
-            allreduce_ring(comm, &mut data, ReduceOp::Sum).unwrap();
+            allreduce_ring(comm, &mut data, ReduceOp::Sum, None).unwrap();
             comm.now()
         })[0];
         let expect = cost::ring_allreduce_exact(p, n as f64).seconds(&model);
         prop_assert!((reduce_time - expect).abs() < 1e-12 * (1.0 + expect));
 
         let gather_time = World::run(p, model, |comm| {
-            allgather_ring(comm, &vec![1.0; blocks]).unwrap();
+            allgather_ring(comm, &vec![1.0; blocks], None).unwrap();
             comm.now()
         })[0];
         let expect = cost::ring_allgather_exact(p, n as f64).seconds(&model);

@@ -229,7 +229,7 @@ fn single_straggler_link_inflates_ring_allreduce_by_exactly_the_delay() {
     let run = |plan: FaultPlan| {
         World::run_with_faults(p, sim, plan, |comm| {
             let mut data = vec![(comm.rank() + 1) as f64; n];
-            allreduce_ring(comm, &mut data, ReduceOp::Sum).unwrap();
+            allreduce_ring(comm, &mut data, ReduceOp::Sum, None).unwrap();
             (data, comm.now())
         })
     };

@@ -11,7 +11,8 @@
 
 use proptest::prelude::*;
 
-use integrated_parallelism::collectives::ft::{allreduce_ring_ft, FtConfig};
+use integrated_parallelism::collectives::ft::FtConfig;
+use integrated_parallelism::collectives::ring::allreduce_ring;
 use integrated_parallelism::collectives::ReduceOp;
 use integrated_parallelism::dnn::zoo::mlp_tiny;
 use integrated_parallelism::integrated::ft_trainer::{train_1p5d_ft, FtTrainConfig};
@@ -221,7 +222,13 @@ fn corrupted_allreduce_never_returns_wrong_numbers() {
     let plan = FaultPlan::new(5).corrupt_nth(2, 3, 0);
     let (out, stats) = World::run_with_faults(4, NetModel::free(), plan, |comm| {
         let mut data = vec![(comm.rank() + 1) as f64; 8];
-        allreduce_ring_ft(comm, &mut data, ReduceOp::Sum, &FtConfig::fixed(100.0)).map(|_| data)
+        allreduce_ring(
+            comm,
+            &mut data,
+            ReduceOp::Sum,
+            Some(&FtConfig::fixed(100.0)),
+        )
+        .map(|_| data)
     });
     assert!(out.iter().all(Result::is_err), "no rank completed: {out:?}");
     assert_eq!(stats.total_corrupt_detected(), 1);
