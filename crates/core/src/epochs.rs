@@ -361,6 +361,54 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the `Debug` rendering of every rank's counters and
+    /// clock (each `f64` prints in shortest round-trip form, so equal
+    /// text means equal bits) followed by every weight word's bits.
+    fn run_digest(stats: &WorldStats, weights: &[Matrix]) -> u64 {
+        let words: Vec<f64> = weights.iter().flat_map(|w| w.as_slice().to_vec()).collect();
+        let text = format!(
+            "{:?}{:?}{:x}",
+            stats.ranks,
+            stats.clocks,
+            mpsim::fault::checksum(&words)
+        );
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn distributed_epochs_stats_and_weights_are_pinned() {
+        // Every rank's counters and clock and every weight bit under
+        // the Cori KNL model, captured before the epoch loop moved onto
+        // the shared iteration body; they must not move.
+        let data = gaussian_blobs(8, 3, 36, 0.4, 9);
+        let net = mlp("m", &[8, 12, 3]);
+        let cfg = EpochConfig {
+            sgd: SgdConfig {
+                lr: 0.2,
+                momentum: 0.9,
+                weight_decay: 1e-3,
+            },
+            epochs: 3,
+            batch_size: 12,
+            seed: 4,
+        };
+        for (pr, pc, pinned) in [
+            (1, 4, 0x9f28_4eb1_25ba_0a0a_u64),
+            (2, 2, 0x50c2_c009_9759_90a5),
+            (4, 1, 0x2c58_dde6_c468_f4a4),
+            (3, 2, 0x7810_05eb_af4a_16ea),
+        ] {
+            let dist = train_epochs_1p5d(&net, &data, &cfg, pr, pc, NetModel::cori_knl());
+            assert_eq!(
+                run_digest(&dist.stats, &dist.weights),
+                pinned,
+                "grid {pr}x{pc}"
+            );
+        }
+    }
+
     #[test]
     fn schedule_covers_every_sample_each_epoch() {
         let cfg = EpochConfig {

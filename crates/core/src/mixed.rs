@@ -309,6 +309,37 @@ mod tests {
     }
 
     #[test]
+    fn mixed_weights_and_words_are_pinned() {
+        // Weight bits and executed words, captured before the rank body
+        // moved onto the shared 1.5D ops; they must not move.
+        let net = mlp("m", &[16, 24, 12, 6]);
+        let (x, labels) = synthetic_data(&net, 24, 3);
+        let cfg = TrainConfig {
+            lr: 0.2,
+            iters: 5,
+            seed: 8,
+        };
+        for (grids, weight_bits, words) in [
+            (vec![(2, 2); 3], 0x282f_613d_21bd_7be8_u64, 24960),
+            (vec![(1, 4), (2, 2), (2, 2)], 0xf295_8ab7_ec19_de8b, 32400),
+            (vec![(1, 4), (4, 1), (2, 2)], 0xf1ab_9ed0_3f34_2902, 54720),
+        ] {
+            let mixed = MixedGrids::new(4, grids.clone()).unwrap();
+            let r = train_mixed(&net, &x, &labels, &cfg, &mixed, NetModel::cori_knl());
+            let w: Vec<f64> = r
+                .weights
+                .iter()
+                .flat_map(|m| m.as_slice().to_vec())
+                .collect();
+            assert_eq!(
+                (mpsim::fault::checksum(&w), r.stats.total_words()),
+                (weight_bits, words),
+                "{grids:?}"
+            );
+        }
+    }
+
+    #[test]
     fn invalid_grid_is_rejected() {
         assert!(MixedGrids::new(4, vec![(2, 3)]).is_err());
         assert!(MixedGrids::head_batch_tail_grid(4, 3, 1, 2, 2).is_ok());
