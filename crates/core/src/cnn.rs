@@ -7,12 +7,13 @@
 //! every image in batch shard `j`. Per training step:
 //!
 //! * **conv and pooling layers** run domain-parallel within the
-//!   `Pd`-sized column groups. Stride-1 same-padded convolutions use
-//!   fixed halos; strided convolutions (AlexNet's conv1) and
-//!   overlapping pooling (AlexNet's 3×3/2) use the general
-//!   window-redistribution path (`distmm::domain_general`), whose
-//!   traffic stays boundary-proportional. Conv `∆W` is all-reduced
-//!   over the full grid — exactly Eq. 9's `LD` terms;
+//!   `Pd`-sized column groups. Every conv and pool, stride-1 or
+//!   strided (AlexNet's conv1, its overlapping 3×3/2 pools), goes
+//!   through the window-redistribution path (`distmm::domain_general`),
+//!   whose traffic stays boundary-proportional; for a stride-1
+//!   same-padded conv the windows are exactly the fixed halos. Conv
+//!   `∆W` is all-reduced over the full grid — exactly Eq. 9's `LD`
+//!   terms;
 //! * the **FC head** gathers the final strips within each column group
 //!   and is evaluated with replicated weights, its `∆W` all-reduced
 //!   across batch shards. (Sharding the FC head over a `Pr × Pc` grid

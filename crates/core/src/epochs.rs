@@ -13,16 +13,17 @@
 
 use dnn::Network;
 use mpsim::{NetModel, World, WorldStats};
-use tensor::activation::softmax_xent;
-use tensor::matmul::{matmul, matmul_a_bt, matmul_at_b};
 use tensor::Matrix;
 
 use collectives::cost::CostTerms;
 use distmm::dist::{col_shard, part_range, row_shard};
-use distmm::onep5d::{backward as grid_backward, forward as grid_forward, Grid};
+use distmm::onep5d::{Grid, OpCtx};
 
 use crate::data::{accuracy, epoch_order, Dataset};
-use crate::trainer::{act_backward, apply_act, extract_fc_layers, init_weights, FcLayer};
+use crate::trainer::{
+    extract_fc_layers, init_weights, serial_forward, serial_step, shard_loss, DistResult,
+    Iteration, RankOutcome,
+};
 
 /// SGD variant parameters.
 #[derive(Debug, Clone, Copy)]
@@ -71,12 +72,20 @@ impl Default for EpochConfig {
 
 /// One SGD update with momentum and weight decay:
 /// `v ← μ·v + (g + λ·w)`, `w ← w − η·v`.
-fn sgd_step(w: &mut Matrix, v: &mut Matrix, g: &Matrix, cfg: &SgdConfig) {
-    let (vs, ws, gs) = (v.as_mut_slice(), w.as_mut_slice(), g.as_slice());
-    for ((vi, wi), &gi) in vs.iter_mut().zip(ws.iter_mut()).zip(gs) {
+fn sgd_step(w: &mut Matrix, v: &mut Matrix, g: &[f64], cfg: &SgdConfig) {
+    let (vs, ws) = (v.as_mut_slice(), w.as_mut_slice());
+    for ((vi, wi), &gi) in vs.iter_mut().zip(ws.iter_mut()).zip(g) {
         *vi = cfg.momentum * *vi + gi + cfg.weight_decay * *wi;
         *wi -= cfg.lr * *vi;
     }
+}
+
+/// Zeroed momentum buffers shaped like `weights`.
+fn zeros_like(weights: &[Matrix]) -> Vec<Matrix> {
+    weights
+        .iter()
+        .map(|w| Matrix::zeros(w.rows(), w.cols()))
+        .collect()
 }
 
 /// The deterministic mini-batch schedule: for each epoch, a shuffle of
@@ -105,18 +114,11 @@ pub struct EpochSerialResult {
     pub train_accuracy: f64,
 }
 
-fn forward_logits(layers: &[FcLayer], weights: &[Matrix], x: &Matrix) -> Matrix {
-    let mut act = x.clone();
-    for (l, w) in layers.iter().zip(weights) {
-        act = apply_act(l.act, &matmul(w, &act));
-    }
-    act
-}
-
 /// Class predictions (argmax of logits) for a trained FC network.
 pub fn predict(net: &Network, weights: &[Matrix], x: &Matrix) -> Vec<usize> {
     let layers = extract_fc_layers(net);
-    let logits = forward_logits(&layers, weights, x);
+    let acts = serial_forward(&layers, weights, x);
+    let logits = acts.logits();
     (0..logits.cols())
         .map(|c| {
             (0..logits.rows())
@@ -135,35 +137,17 @@ pub fn predict(net: &Network, weights: &[Matrix], x: &Matrix) -> Vec<usize> {
 pub fn train_epochs_serial(net: &Network, data: &Dataset, cfg: &EpochConfig) -> EpochSerialResult {
     let layers = extract_fc_layers(net);
     let mut weights = init_weights(&layers, cfg.seed);
-    let mut velocity: Vec<Matrix> = weights
-        .iter()
-        .map(|w| Matrix::zeros(w.rows(), w.cols()))
-        .collect();
+    let mut velocity = zeros_like(&weights);
+    let mut apply = |idx: usize, w: &mut Matrix, g: &[f64]| {
+        sgd_step(w, &mut velocity[idx], g, &cfg.sgd);
+    };
     let batches = batch_schedule(data.len(), cfg);
     let per_epoch = batches.len() / cfg.epochs;
     let mut epoch_losses = vec![0.0; cfg.epochs];
     for (step, idx) in batches.iter().enumerate() {
         let (x, labels) = data.batch(idx);
-        // Forward.
-        let mut inputs = vec![x];
-        let mut pres = Vec::with_capacity(layers.len());
-        for (l, w) in layers.iter().zip(&weights) {
-            let pre = matmul(w, inputs.last().expect("input"));
-            let post = apply_act(l.act, &pre);
-            pres.push(pre);
-            inputs.push(post);
-        }
-        let (loss, grad) = softmax_xent(inputs.last().expect("logits"), &labels);
+        let loss = serial_step(&layers, &mut weights, &x, &labels, &mut apply);
         epoch_losses[step / per_epoch] += loss / per_epoch as f64;
-        // Backward + update.
-        let mut dy = grad;
-        for (li, l) in layers.iter().enumerate().rev() {
-            dy = act_backward(l.act, &pres[li], &inputs[li + 1], &dy);
-            let dw = matmul_a_bt(&dy, &inputs[li]);
-            let dx = matmul_at_b(&weights[li], &dy);
-            sgd_step(&mut weights[li], &mut velocity[li], &dw, &cfg.sgd);
-            dy = dx;
-        }
     }
     let preds = predict(net, &weights, &data.x);
     let train_accuracy = accuracy(&preds, &data.labels);
@@ -180,14 +164,14 @@ pub struct EpochDistResult {
     pub weights: Vec<Matrix>,
     /// Virtual-time and traffic statistics.
     pub stats: WorldStats,
-    /// Communication words charged per the executed collectives,
-    /// aggregated as symbolic terms for cross-checking against `N/B ×`
-    /// per-iteration costs.
+    /// Number of mini-batch steps taken (`epochs × ⌈N/B⌉`).
     pub steps: usize,
 }
 
 /// Distributed mini-batch training on a `pr × pc` grid, following the
-/// exact serial schedule.
+/// exact serial schedule. Each step is one shared
+/// [`crate::trainer`] iteration (blocking 1.5D ops) whose optimizer
+/// step is momentum SGD.
 pub fn train_epochs_1p5d(
     net: &Network,
     data: &Dataset,
@@ -199,64 +183,52 @@ pub fn train_epochs_1p5d(
     let layers = extract_fc_layers(net);
     let batches = batch_schedule(data.len(), cfg);
     let steps = batches.len();
-    let (shards, stats) = World::run_with_stats(pr * pc, model, |comm| {
+    let (per_rank, stats) = World::run_with_stats(pr * pc, model, |comm| {
         let grid = Grid::new(comm, pr, pc).expect("grid tiles the world");
-        let full = init_weights(&layers, cfg.seed);
-        let mut w_local: Vec<Matrix> = full.iter().map(|w| row_shard(w, pr, grid.i)).collect();
-        let mut v_local: Vec<Matrix> = w_local
+        let mut w_local: Vec<Matrix> = init_weights(&layers, cfg.seed)
             .iter()
-            .map(|w| Matrix::zeros(w.rows(), w.cols()))
+            .map(|w| row_shard(w, pr, grid.i))
             .collect();
-        for idx in &batches {
+        let mut v_local = zeros_like(&w_local);
+        let mut apply = |idx: usize, w: &mut Matrix, g: &[f64]| {
+            sgd_step(w, &mut v_local[idx], g, &cfg.sgd);
+        };
+        let mut partial_losses = Vec::with_capacity(steps);
+        for (step, idx) in batches.iter().enumerate() {
             let (x, labels) = data.batch(idx);
             let b_global = x.cols();
             let x_local = col_shard(&x, pc, grid.j);
-            let lrange = part_range(b_global, pc, grid.j);
-            let labels_local = &labels[lrange];
-            let b_local = x_local.cols();
-            // Forward.
-            let mut inputs = vec![x_local];
-            let mut pres = Vec::with_capacity(layers.len());
-            for (l, w) in layers.iter().zip(&w_local) {
-                let pre = grid_forward(&grid, w, inputs.last().expect("input")).expect("forward");
-                let post = apply_act(l.act, &pre);
-                pres.push(pre);
-                inputs.push(post);
-            }
-            let (_loss, mut grad) = softmax_xent(inputs.last().expect("logits"), labels_local);
-            let scale = b_local as f64 / b_global as f64;
-            for g in grad.as_mut_slice() {
-                *g *= scale;
-            }
-            // Backward + update.
-            let mut dy = grad;
-            for (li, l) in layers.iter().enumerate().rev() {
-                dy = act_backward(l.act, &pres[li], &inputs[li + 1], &dy);
-                let (dw, dx) =
-                    grid_backward(&grid, &w_local[li], &inputs[li], &dy).expect("backward");
-                sgd_step(&mut w_local[li], &mut v_local[li], &dw, &cfg.sgd);
-                dy = dx;
-            }
+            let labels_local = &labels[part_range(b_global, pc, grid.j)];
+            let it = Iteration {
+                grid: &grid,
+                layers: &layers,
+                ctx: OpCtx::Plain,
+                iter: step as u64,
+            };
+            let acts = it
+                .forward(&mut w_local, &x_local, None, &mut apply)
+                .expect("forward");
+            let (loss, grad) = shard_loss(acts.logits(), labels_local, b_global);
+            partial_losses.push(loss);
+            it.backward(&mut w_local, &acts, grad, None, true, &mut apply)
+                .expect("backward");
         }
-        (grid.i, grid.j, w_local)
+        RankOutcome {
+            i: grid.i,
+            j: grid.j,
+            partial_losses,
+            weight_shards: w_local,
+        }
     });
-    // Assemble from column 0.
-    let n_layers = layers.len();
-    let mut weights = Vec::with_capacity(n_layers);
-    for l in 0..n_layers {
-        let mut rows: Vec<(usize, Matrix)> = shards
-            .iter()
-            .filter(|(_, j, _)| *j == 0)
-            .map(|(i, _, w)| (*i, w[l].clone()))
-            .collect();
-        rows.sort_by_key(|&(i, _)| i);
-        weights.push(Matrix::vcat(
-            &rows.into_iter().map(|(_, m)| m).collect::<Vec<_>>(),
-        ));
-    }
-    EpochDistResult {
-        weights,
+    let dist = DistResult {
+        pr,
+        pc,
+        per_rank,
         stats,
+    };
+    EpochDistResult {
+        weights: dist.weights(),
+        stats: dist.stats,
         steps,
     }
 }

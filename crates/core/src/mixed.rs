@@ -3,7 +3,8 @@
 //! `Pr × Pc` factorizations of the same `P`, glued together by the
 //! Eq. 6 redistribution (which the paper shows is asymptotically free).
 //!
-//! Every weighted layer `l` gets its own `(Pr_l, Pc_l)`; between
+//! Every weighted layer `l` gets its own `(Pr_l, Pc_l)` grid and runs
+//! the shared 1.5D ops ([`distmm::onep5d`]) on it; between
 //! layers, activations (forward) and activation gradients (backward)
 //! are re-laid-out with `distmm::cols::redistribute_cols` — pair-wise
 //! sends of exactly the overlap volumes, with one designated sender
@@ -14,17 +15,16 @@
 
 use dnn::Network;
 use mpsim::{NetModel, World, WorldStats};
-use tensor::activation::softmax_xent;
-use tensor::matmul::{matmul, matmul_a_bt, matmul_at_b};
 use tensor::ops::axpy;
 use tensor::Matrix;
 
-use collectives::ring::allgatherv_ring;
-use collectives::{allreduce, ReduceOp};
 use distmm::cols::redistribute_cols;
 use distmm::dist::{part_range, row_shard};
+use distmm::onep5d::{backward, forward, Grid};
 
-use crate::trainer::{act_backward, apply_act, extract_fc_layers, init_weights, TrainConfig};
+use crate::trainer::{
+    act_backward, apply_act, extract_fc_layers, init_weights, shard_loss, TrainConfig,
+};
 
 /// A per-layer grid assignment for an FC network: `grids[l] = (pr, pc)`
 /// with `pr·pc = P` for every layer.
@@ -71,7 +71,9 @@ pub struct MixedResult {
     pub stats: WorldStats,
 }
 
-/// Distributed full-batch SGD with per-layer grids.
+/// Distributed full-batch SGD with per-layer grids. With the same grid
+/// for every layer this is [`crate::trainer::train_1p5d`], virtual
+/// clocks included.
 pub fn train_mixed(
     net: &Network,
     x: &Matrix,
@@ -90,138 +92,83 @@ pub fn train_mixed(
     let p = mixed.p;
     let n_layers = layers.len();
 
-    // Per-rank column range under a layer's batch split.
-    let col_range = |pc: usize, rank: usize| part_range(b_global, pc, rank % pc);
-    let owned_table =
-        |pc: usize| -> Vec<std::ops::Range<usize>> { (0..p).map(|r| col_range(pc, r)).collect() };
+    // Every rank's column range under a layer's batch split, and one
+    // designated sender (grid row 0) per replica group.
+    let owned_table = |pc: usize| -> Vec<std::ops::Range<usize>> {
+        (0..p).map(|r| part_range(b_global, pc, r % pc)).collect()
+    };
     let sender_table = |pc: usize| -> Vec<bool> { (0..p).map(|r| r / pc == 0).collect() };
 
     let (shards, stats) = World::run_with_stats(p, model, |comm| {
-        // Build each layer's row/col communicators once.
-        let mut grids = Vec::with_capacity(n_layers);
-        for &(pr, pc) in &mixed.grids {
-            let (row_comm, col_comm) = comm.grid(pr, pc).expect("grid tiles the world");
-            grids.push((pr, pc, row_comm, col_comm));
-        }
-        let me = comm.rank();
-        let full = init_weights(&layers, cfg.seed);
-        let mut w_local: Vec<Matrix> = layers
+        let grids: Vec<Grid> = mixed
+            .grids
             .iter()
-            .enumerate()
-            .map(|(l, _)| {
-                let (pr, pc, _, _) = &grids[l];
-                let i = me / pc;
-                row_shard(&full[l], *pr, i)
-            })
+            .map(|&(pr, pc)| Grid::new(comm, pr, pc).expect("grid tiles the world"))
+            .collect();
+        // Eq. 6, executable: re-lay a batch-sharded matrix from layer
+        // `from`'s column split to layer `to`'s (identity when equal).
+        let relayout = |m: Matrix, from: &Grid, to: &Grid| {
+            if from.pc == to.pc {
+                return m;
+            }
+            redistribute_cols(
+                comm,
+                &m,
+                &owned_table(from.pc),
+                &owned_table(to.pc),
+                &sender_table(from.pc),
+            )
+            .expect("relayout")
+        };
+        let mut w_local: Vec<Matrix> = init_weights(&layers, cfg.seed)
+            .iter()
+            .zip(&grids)
+            .map(|(w, g)| row_shard(w, g.pr, g.i))
             .collect();
 
         for _ in 0..cfg.iters {
-            // Forward with relayouts between layers.
-            let (_, pc0, _, _) = &grids[0];
-            let r0 = col_range(*pc0, me);
+            // Forward: `inputs[l]` is layer l's input in its own
+            // layout, `posts[l]` its output in the same layout.
+            let r0 = grids[0].x_cols(b_global);
             let mut act = x.col_block(r0.start, r0.end);
             let mut inputs: Vec<Matrix> = Vec::with_capacity(n_layers);
             let mut pres: Vec<Matrix> = Vec::with_capacity(n_layers);
-            for l in 0..n_layers {
-                let (pr, pc, _, col_comm) = &grids[l];
-                inputs.push(act.clone());
-                // Local multiply on this layer's weight shard, then
-                // all-gather rows within the Pr group.
-                let y_partial = matmul(&w_local[l], &act);
-                let pre = if *pr == 1 {
-                    y_partial
-                } else {
-                    let blocks =
-                        allgatherv_ring(col_comm, y_partial.as_slice()).expect("row gather");
-                    let bloc = act.cols();
-                    let mats: Vec<Matrix> = blocks
-                        .into_iter()
-                        .map(|v| Matrix::from_vec(v.len() / bloc, bloc, v))
-                        .collect();
-                    Matrix::vcat(&mats)
-                };
+            let mut posts: Vec<Matrix> = Vec::with_capacity(n_layers);
+            for (l, grid) in grids.iter().enumerate() {
+                let pre = forward(grid, &w_local[l], &act).expect("forward");
                 let post = apply_act(layers[l].act, &pre);
+                let next = grids.get(l + 1).unwrap_or(grid);
+                inputs.push(std::mem::replace(
+                    &mut act,
+                    relayout(post.clone(), grid, next),
+                ));
                 pres.push(pre);
-                // Relayout for the next layer if the batch split
-                // changes (Eq. 6 executable).
-                act = if l + 1 < n_layers && grids[l + 1].1 != *pc {
-                    let next_pc = grids[l + 1].1;
-                    redistribute_cols(
-                        comm,
-                        &post,
-                        &owned_table(*pc),
-                        &owned_table(next_pc),
-                        &sender_table(*pc),
-                    )
-                    .expect("forward relayout")
-                } else {
-                    post
-                };
+                posts.push(post);
             }
-            // Loss on the final layer's layout.
-            let (_, pc_last, _, _) = &grids[n_layers - 1];
-            let lrange = col_range(*pc_last, me);
-            let labels_local = &labels[lrange.clone()];
-            let (_loss, mut grad) = softmax_xent(&act, labels_local);
-            let scale = lrange.len() as f64 / b_global as f64;
-            for g in grad.as_mut_slice() {
-                *g *= scale;
-            }
+            let labels_local = &labels[grids[n_layers - 1].x_cols(b_global)];
+            let (_loss, mut dy) = shard_loss(&act, labels_local, b_global);
             // Backward with reverse relayouts.
-            let mut dy = grad;
-            for l in (0..n_layers).rev() {
-                let (pr, pc, row_comm, col_comm) = &grids[l];
-                dy = act_backward(
-                    layers[l].act,
-                    &pres[l],
-                    &apply_act(layers[l].act, &pres[l]),
-                    &dy,
-                );
-                let i = me / pc;
-                let rows = part_range(pres[l].rows(), *pr, i);
-                let dy_i = dy.row_block(rows.start, rows.end);
-                let mut dw = matmul_a_bt(&dy_i, &inputs[l]);
-                allreduce(row_comm, dw.as_mut_slice(), ReduceOp::Sum).expect("dW allreduce");
-                let mut dx = matmul_at_b(&w_local[l], &dy_i);
-                allreduce(col_comm, dx.as_mut_slice(), ReduceOp::Sum).expect("dX allreduce");
+            for (l, grid) in grids.iter().enumerate().rev() {
+                dy = act_backward(layers[l].act, &pres[l], &posts[l], &dy);
+                let (dw, dx) = backward(grid, &w_local[l], &inputs[l], &dy).expect("backward");
                 axpy(-cfg.lr, dw.as_slice(), w_local[l].as_mut_slice());
-                // Relayout the gradient into the previous layer's
-                // batch split.
-                dy = if l > 0 && grids[l - 1].1 != *pc {
-                    let prev_pc = grids[l - 1].1;
-                    redistribute_cols(
-                        comm,
-                        &dx,
-                        &owned_table(*pc),
-                        &owned_table(prev_pc),
-                        &sender_table(*pc),
-                    )
-                    .expect("backward relayout")
-                } else {
-                    dx
-                };
+                dy = relayout(dx, grid, &grids[l.saturating_sub(1)]);
             }
         }
-        (me, w_local)
+        w_local
     });
 
-    // Assemble weights: for each layer, take shards from the ranks in
-    // batch group j = 0 of that layer's grid.
-    let mut weights = Vec::with_capacity(n_layers);
-    for (l, layer) in layers.iter().enumerate() {
-        let (pr, pc) = mixed.grids[l];
-        let mut rows_acc: Vec<(usize, Matrix)> = shards
-            .iter()
-            .filter(|(r, _)| r % pc == 0)
-            .map(|(r, w)| (r / pc, w[l].clone()))
-            .collect();
-        rows_acc.sort_by_key(|&(i, _)| i);
-        rows_acc.dedup_by_key(|(i, _)| *i);
-        debug_assert_eq!(rows_acc.len(), pr);
-        let m = Matrix::vcat(&rows_acc.into_iter().map(|(_, m)| m).collect::<Vec<_>>());
-        debug_assert_eq!(m.rows(), layer.d_out);
-        weights.push(m);
-    }
+    // Assemble each layer from its grid column 0: ranks 0, pc, 2·pc, …
+    // hold model shards 0, 1, 2, … in order.
+    let weights = mixed
+        .grids
+        .iter()
+        .enumerate()
+        .map(|(l, &(_, pc))| {
+            let rows: Vec<Matrix> = shards.iter().step_by(pc).map(|w| w[l].clone()).collect();
+            Matrix::vcat(&rows)
+        })
+        .collect();
     MixedResult { weights, stats }
 }
 
@@ -336,6 +283,26 @@ mod tests {
                 (weight_bits, words),
                 "{grids:?}"
             );
+        }
+    }
+
+    #[test]
+    fn uniform_mixed_grids_clock_like_the_1p5d_trainer() {
+        // One grid for every layer is the plain 1.5D trainer, GEMM
+        // FLOPs included: every rank's clock must agree bit for bit.
+        let net = mlp("m", &[16, 24, 12, 6]);
+        let (x, labels) = synthetic_data(&net, 24, 3);
+        let cfg = TrainConfig {
+            lr: 0.2,
+            iters: 3,
+            seed: 8,
+        };
+        let model = NetModel::cori_knl();
+        for (pr, pc) in [(2, 2), (1, 4), (4, 1)] {
+            let mixed = MixedGrids::new(4, vec![(pr, pc); 3]).unwrap();
+            let r = train_mixed(&net, &x, &labels, &cfg, &mixed, model);
+            let plain = crate::trainer::train_1p5d(&net, &x, &labels, &cfg, pr, pc, model);
+            assert_eq!(r.stats.clocks, plain.stats.clocks, "grid {pr}x{pc}");
         }
     }
 

@@ -154,31 +154,47 @@ pub fn train_serial(
 ) -> SerialResult {
     let layers = extract_fc_layers(net);
     let mut weights = init_weights(&layers, cfg.seed);
-    let mut losses = Vec::with_capacity(cfg.iters);
-    for _ in 0..cfg.iters {
-        // Forward, keeping pre/post activations.
-        let mut inputs = vec![x.clone()];
-        let mut pres = Vec::with_capacity(layers.len());
-        for (l, w) in layers.iter().zip(&weights) {
-            let pre = matmul(w, inputs.last().expect("input"));
-            let post = apply_act(l.act, &pre);
-            pres.push(pre);
-            inputs.push(post);
-        }
-        let logits = inputs.last().expect("logits");
-        let (loss, grad) = softmax_xent(logits, labels);
-        losses.push(loss);
-        // Backward.
-        let mut dy = grad;
-        for (idx, l) in layers.iter().enumerate().rev() {
-            dy = act_backward(l.act, &pres[idx], &inputs[idx + 1], &dy);
-            let dw = matmul_a_bt(&dy, &inputs[idx]);
-            let dx = matmul_at_b(&weights[idx], &dy);
-            axpy(-cfg.lr, dw.as_slice(), weights[idx].as_mut_slice());
-            dy = dx;
-        }
-    }
+    let mut apply = |_: usize, w: &mut Matrix, g: &[f64]| axpy(-cfg.lr, g, w.as_mut_slice());
+    let losses = (0..cfg.iters)
+        .map(|_| serial_step(&layers, &mut weights, x, labels, &mut apply))
+        .collect();
     SerialResult { losses, weights }
+}
+
+/// The serial forward pass, keeping every layer's pre- and
+/// post-activation.
+pub(crate) fn serial_forward(layers: &[FcLayer], weights: &[Matrix], x: &Matrix) -> Activations {
+    let mut inputs = vec![x.clone()];
+    let mut pres = Vec::with_capacity(layers.len());
+    for (l, w) in layers.iter().zip(weights) {
+        let pre = matmul(w, inputs.last().expect("input"));
+        inputs.push(apply_act(l.act, &pre));
+        pres.push(pre);
+    }
+    Activations { inputs, pres }
+}
+
+/// One serial SGD iteration on `(x, labels)`: forward, softmax
+/// cross-entropy, then backward, handing each layer's gradient to
+/// `apply` once its ∆X has been taken from the old weights. Returns
+/// the loss before the update.
+pub(crate) fn serial_step(
+    layers: &[FcLayer],
+    weights: &mut [Matrix],
+    x: &Matrix,
+    labels: &[usize],
+    apply: &mut impl Apply,
+) -> f64 {
+    let Activations { inputs, pres } = serial_forward(layers, weights, x);
+    let (loss, mut dy) = softmax_xent(inputs.last().expect("logits"), labels);
+    for (idx, l) in layers.iter().enumerate().rev() {
+        dy = act_backward(l.act, &pres[idx], &inputs[idx + 1], &dy);
+        let dw = matmul_a_bt(&dy, &inputs[idx]);
+        let dx = matmul_at_b(&weights[idx], &dy);
+        apply(idx, &mut weights[idx], dw.as_slice());
+        dy = dx;
+    }
+    loss
 }
 
 /// Per-rank outcome of a distributed run.
@@ -513,10 +529,11 @@ pub(crate) trait Apply: FnMut(usize, &mut Matrix, &[f64]) {}
 impl<F: FnMut(usize, &mut Matrix, &[f64])> Apply for F {}
 
 /// One rank's view of one training iteration — the single forward and
-/// backward pass both trainers run. `ctx` selects plain or
-/// fault-tolerant ops; a [`BucketScheduler`] handed to the passes
-/// selects the overlap engine under its [`OverlapPlan`], and its absence
-/// the fully blocking iteration.
+/// backward pass every distributed single-grid trainer runs (plain,
+/// fault-tolerant and the epoch loop of [`crate::epochs`]). `ctx`
+/// selects plain or fault-tolerant ops; a [`BucketScheduler`] handed to
+/// the passes selects the overlap engine under its [`OverlapPlan`], and
+/// its absence the fully blocking iteration.
 pub(crate) struct Iteration<'a> {
     pub(crate) grid: &'a Grid,
     pub(crate) layers: &'a [FcLayer],

@@ -11,6 +11,14 @@
 //! source columns. [`redistribute_cols`] handles both: designated
 //! sender ranks (one per source replica group) ship the overlaps of
 //! their owned range with every rank's needed range.
+//!
+//! The paper prices moving batch-sharded activations into a model
+//! layout at `α⌈log P⌉ + β·B·(P−1)/P·d_i` — one all-gather — and notes
+//! it is asymptotically free because the following model-parallel step
+//! moves three times as much. Here that gather is `owned[r] =
+//! part_range(B, P, r)`, `needed[r] = 0..B` with every rank a sender;
+//! the inverse direction moves nothing (each rank keeps its columns,
+//! [`crate::dist::col_shard`]).
 
 use std::ops::Range;
 
@@ -120,9 +128,94 @@ pub fn redistribute_cols(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::part_range;
+    use crate::dist::{col_shard, part_range};
     use mpsim::{NetModel, World};
     use tensor::init;
+
+    /// The Eq. 6 batch → replicated gather of a `B`-column matrix.
+    fn gather_cols(comm: &Communicator, x_local: &Matrix, b: usize) -> Result<Matrix> {
+        let p = comm.size();
+        let owned: Vec<_> = (0..p).map(|r| part_range(b, p, r)).collect();
+        redistribute_cols(comm, x_local, &owned, &vec![0..b; p], &vec![true; p])
+    }
+
+    #[test]
+    fn roundtrip_restores_shards() {
+        let p = 4;
+        let x = init::uniform(6, 10, -1.0, 1.0, 3);
+        let out = World::run(p, NetModel::free(), |comm| {
+            let shard = col_shard(&x, p, comm.rank());
+            let full = gather_cols(comm, &shard, x.cols()).unwrap();
+            assert!(full.approx_eq(&x, 0.0), "gather reproduces the full matrix");
+            col_shard(&full, p, comm.rank())
+        });
+        for (r, shard) in out.iter().enumerate() {
+            assert!(shard.approx_eq(&col_shard(&x, p, r), 0.0), "rank {r}");
+        }
+    }
+
+    #[test]
+    fn uneven_columns_are_supported() {
+        let p = 3;
+        let x = init::uniform(4, 7, -1.0, 1.0, 5);
+        let out = World::run(p, NetModel::free(), |comm| {
+            let shard = col_shard(&x, p, comm.rank());
+            gather_cols(comm, &shard, x.cols()).unwrap()
+        });
+        for full in &out {
+            assert!(full.approx_eq(&x, 0.0));
+        }
+    }
+
+    #[test]
+    fn cost_matches_eq6_bandwidth() {
+        // α = 0 so the latency term drops out; the bandwidth term must
+        // be β·B·(P−1)/P·d exactly.
+        let p = 4;
+        let (d, b) = (8usize, 16usize);
+        let model = NetModel {
+            alpha: 0.0,
+            beta: 1e-6,
+            flops: f64::INFINITY,
+        };
+        let x = init::uniform(d, b, -1.0, 1.0, 7);
+        let times = World::run(p, model, |comm| {
+            let shard = col_shard(&x, p, comm.rank());
+            let _ = gather_cols(comm, &shard, b).unwrap();
+            comm.clock().comm
+        });
+        let expect = model.beta * (b * d) as f64 * (p as f64 - 1.0) / p as f64;
+        for &t in &times {
+            assert!((t - expect).abs() < 1e-12, "{t} vs {expect}");
+        }
+    }
+
+    #[test]
+    fn redistribution_is_a_third_of_the_following_model_step() {
+        // The paper's amortization claim, on executed traffic: the
+        // gather moves B·d·(P−1)/P words; a model-parallel layer (the
+        // 1.5D ops on a `P × 1` grid) then moves 3× that (forward
+        // all-gather of Y plus the double-volume ∆X all-reduce), for
+        // d_out = d_in.
+        use crate::onep5d::{backward, forward, Grid};
+        let p = 4;
+        let (d, b) = (8usize, 12usize);
+        let x = init::uniform(d, b, -1.0, 1.0, 9);
+        let w = init::xavier(d, d, 10);
+        let dy = init::uniform(d, b, -1.0, 1.0, 11);
+        let (_, redist_stats) = World::run_with_stats(p, NetModel::free(), |comm| {
+            let shard = col_shard(&x, p, comm.rank());
+            let _ = gather_cols(comm, &shard, b).unwrap();
+        });
+        let (_, model_stats) = World::run_with_stats(p, NetModel::free(), |comm| {
+            let grid = Grid::new(comm, p, 1).unwrap();
+            let wl = crate::dist::row_shard(&w, p, grid.i);
+            let _y = forward(&grid, &wl, &x).unwrap();
+            let _ = backward(&grid, &wl, &x, &dy).unwrap();
+        });
+        let ratio = model_stats.total_words() as f64 / redist_stats.total_words() as f64;
+        assert!((ratio - 3.0).abs() < 1e-9, "ratio {ratio}");
+    }
 
     #[test]
     fn pure_batch_to_wider_shards() {

@@ -35,16 +35,6 @@ pub fn col_shard(m: &Matrix, p: usize, j: usize) -> Matrix {
     m.col_block(r.start, r.end)
 }
 
-/// Reassembles row shards produced by [`row_shard`].
-pub fn assemble_rows(shards: &[Matrix]) -> Matrix {
-    Matrix::vcat(shards)
-}
-
-/// Reassembles column shards produced by [`col_shard`].
-pub fn assemble_cols(shards: &[Matrix]) -> Matrix {
-    Matrix::hcat(shards)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,9 +43,9 @@ mod tests {
     fn shards_tile_the_matrix() {
         let m = Matrix::from_fn(7, 9, |i, j| (i * 9 + j) as f64);
         let rows: Vec<Matrix> = (0..3).map(|i| row_shard(&m, 3, i)).collect();
-        assert_eq!(assemble_rows(&rows), m);
+        assert_eq!(Matrix::vcat(&rows), m);
         let cols: Vec<Matrix> = (0..4).map(|j| col_shard(&m, 4, j)).collect();
-        assert_eq!(assemble_cols(&cols), m);
+        assert_eq!(Matrix::hcat(&cols), m);
     }
 
     #[test]

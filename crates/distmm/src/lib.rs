@@ -4,19 +4,17 @@
 //! Figures 1, 2, 3, and 5, plus the 2-D SUMMA variants its §4
 //! Discussion compares against:
 //!
-//! * [`batch1d`] — pure batch parallelism (Fig. 2): `X`, `Y` split
-//!   column-wise (by sample), `W` replicated; the only communication is
-//!   the ∆W all-reduce.
-//! * [`model1d`] — pure model parallelism (Fig. 1): `W` split row-wise,
-//!   activations assembled with an all-gather each layer; ∆X needs an
-//!   all-reduce.
 //! * [`onep5d`] — the paper's contribution (Fig. 5): the 1.5D algorithm
 //!   on a `Pr × Pc` grid; `W` split over `Pr` (replicated `Pc` times),
-//!   `X`/`Y` split over `Pc` (replicated `Pr` times).
+//!   `X`/`Y` split over `Pc` (replicated `Pr` times). A `1 × P` grid is
+//!   pure batch parallelism (Fig. 2) and a `P × 1` grid pure model
+//!   parallelism (Fig. 1), so this one module runs all three.
 //! * [`summa`] — 2-D SUMMA (stationary-C and stationary-A) for the
 //!   Discussion-section comparison.
-//! * [`domain`] — domain-parallel convolution with halo exchange
-//!   (Fig. 3).
+//! * [`domain`] / [`domain_general`] — domain-parallel convolution with
+//!   halo exchange (Fig. 3), and its strided / pooling generalization.
+//! * [`cols`] / [`rows`] — column- and row-layout redistribution,
+//!   including the Eq. 6 relayout between layers on different grids.
 //!
 //! Every algorithm is verified against serial `tensor` kernels, and its
 //! virtual-clock cost against the corresponding closed form.
@@ -25,14 +23,11 @@
 // arithmetic; the clippy suggestions (iterators, is_multiple_of) obscure
 // the correspondence with the paper's formulas.
 #![allow(clippy::needless_range_loop, clippy::manual_is_multiple_of)]
-pub mod batch1d;
 pub mod cols;
 pub mod dist;
 pub mod domain;
 pub mod domain_general;
-pub mod model1d;
 pub mod onep5d;
-pub mod redistribute;
 pub mod rows;
 pub mod summa;
 

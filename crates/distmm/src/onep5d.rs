@@ -577,7 +577,101 @@ mod tests {
 
     #[test]
     fn pc_equals_one_is_pure_model() {
-        check_grid(4, 1, 8, 5, 6);
+        for p in [1, 2, 3, 4] {
+            check_grid(p, 1, 9, 5, 6); // d_out not divisible by all p on purpose
+        }
+    }
+
+    /// A cost-only model: α and β as given, compute free.
+    fn comm_model(alpha: f64, beta: f64) -> NetModel {
+        NetModel {
+            alpha,
+            beta,
+            flops: f64::INFINITY,
+        }
+    }
+
+    #[test]
+    fn pure_batch_forward_needs_no_communication() {
+        let model = comm_model(1.0, 1.0);
+        let w = init::xavier(4, 4, 1);
+        let x = init::uniform(4, 8, -1.0, 1.0, 2);
+        let out = World::run(4, model, |comm| {
+            let grid = Grid::new(comm, 1, 4).unwrap();
+            let xl = col_shard(&x, 4, grid.j);
+            let _ = forward(&grid, &w, &xl).unwrap();
+            comm.clock().comm
+        });
+        for &t in &out {
+            assert_eq!(t, 0.0, "the paper: batch-parallel forward is comm-free");
+        }
+    }
+
+    #[test]
+    fn pure_batch_backward_comm_matches_ring_allreduce_of_weights() {
+        let model = comm_model(1e-3, 1e-6);
+        let p = 4;
+        let (d_out, d_in, b) = (8, 16, 8); // |W| = 128, divisible by 4
+        let w = init::xavier(d_out, d_in, 1);
+        let x = init::uniform(d_in, b, -1.0, 1.0, 2);
+        let dy = init::uniform(d_out, b, -1.0, 1.0, 3);
+        let out = World::run(p, model, |comm| {
+            let grid = Grid::new(comm, 1, p).unwrap();
+            let xl = col_shard(&x, p, grid.j);
+            let dyl = col_shard(&dy, p, grid.j);
+            let _ = backward(&grid, &w, &xl, &dyl).unwrap();
+            comm.clock().comm
+        });
+        let expect =
+            collectives::cost::ring_allreduce_exact(p, (d_out * d_in) as f64).seconds(&model);
+        for &t in &out {
+            assert!((t - expect).abs() < 1e-12, "{t} vs {expect}");
+        }
+    }
+
+    #[test]
+    fn pure_model_dw_needs_no_communication() {
+        // The paper: "no communication is needed for the model parallel
+        // part as the input activation is already communicated via the
+        // all-gather collective of forward pass". On `P × 1` the ∆W
+        // all-reduce runs over a one-member row group, so the whole
+        // backward costs exactly the ∆X all-reduce.
+        let model = comm_model(1.0, 1.0);
+        let p = 4;
+        let (d_out, d_in, b) = (8, 4, 4);
+        let w = init::xavier(d_out, d_in, 1);
+        let x = init::uniform(d_in, b, -1.0, 1.0, 2);
+        let dy = init::uniform(d_out, b, -1.0, 1.0, 3);
+        let out = World::run(p, model, |comm| {
+            let grid = Grid::new(comm, p, 1).unwrap();
+            let wl = row_shard(&w, p, grid.i);
+            let _ = backward(&grid, &wl, &x, &dy).unwrap();
+            comm.clock().comm
+        });
+        let expect = collectives::cost::ring_allreduce_exact(p, (d_in * b) as f64).seconds(&model);
+        for &t in &out {
+            assert!((t - expect).abs() < 1e-12, "{t} vs {expect}");
+        }
+    }
+
+    #[test]
+    fn pure_model_forward_comm_time_is_allgather_of_y() {
+        let model = comm_model(1e-3, 1e-6);
+        let p = 4;
+        let (d_out, d_in, b) = (16, 4, 8);
+        let w = init::xavier(d_out, d_in, 1);
+        let x = init::uniform(d_in, b, -1.0, 1.0, 2);
+        let out = World::run(p, model, |comm| {
+            let grid = Grid::new(comm, p, 1).unwrap();
+            let wl = row_shard(&w, p, grid.i);
+            let _ = forward(&grid, &wl, &x).unwrap();
+            comm.clock().comm
+        });
+        // Ring allgatherv of the full Y (d_out*b words total).
+        let expect = collectives::cost::ring_allgather_exact(p, (d_out * b) as f64).seconds(&model);
+        for &t in &out {
+            assert!((t - expect).abs() < 1e-12, "{t} vs {expect}");
+        }
     }
 
     #[test]
