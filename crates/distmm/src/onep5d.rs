@@ -577,8 +577,74 @@ mod tests {
 
     #[test]
     fn pc_equals_one_is_pure_model() {
+        check_grid(4, 1, 8, 5, 6);
+    }
+
+    #[test]
+    fn pure_batch_matches_serial_reference() {
+        let p = 4;
+        let (d_out, d_in, b) = (6, 5, 8);
+        let w = init::xavier(d_out, d_in, 1);
+        let x = init::uniform(d_in, b, -1.0, 1.0, 2);
+        let dy = init::uniform(d_out, b, -1.0, 1.0, 3);
+
+        // Serial reference.
+        let y_ref = matmul(&w, &x);
+        let dw_ref = matmul_a_bt(&dy, &x);
+        let dx_ref = matmul_at_b(&w, &dy);
+
+        let out = World::run(p, NetModel::free(), |comm| {
+            let grid = Grid::new(comm, 1, p).unwrap();
+            let xl = col_shard(&x, p, grid.j);
+            let dyl = col_shard(&dy, p, grid.j);
+            let y = forward(&grid, &w, &xl).unwrap();
+            let (dw, dx) = backward(&grid, &w, &xl, &dyl).unwrap();
+            (y, dw, dx)
+        });
+
+        for (r, (y, dw, dx)) in out.iter().enumerate() {
+            let cols = part_range(b, p, r);
+            assert!(
+                y.approx_eq(&y_ref.col_block(cols.start, cols.end), 1e-12),
+                "rank {r} Y"
+            );
+            assert!(
+                dx.approx_eq(&dx_ref.col_block(cols.start, cols.end), 1e-12),
+                "rank {r} dX"
+            );
+            assert!(dw.approx_eq(&dw_ref, 1e-10), "rank {r} dW mismatch");
+        }
+    }
+
+    #[test]
+    fn pure_model_matches_serial_reference() {
         for p in [1, 2, 3, 4] {
-            check_grid(p, 1, 9, 5, 6); // d_out not divisible by all p on purpose
+            let (d_out, d_in, b) = (9, 5, 6); // d_out not divisible by all p on purpose
+            let w = init::xavier(d_out, d_in, 1);
+            let x = init::uniform(d_in, b, -1.0, 1.0, 2);
+            let dy = init::uniform(d_out, b, -1.0, 1.0, 3);
+
+            let y_ref = matmul(&w, &x);
+            let dw_ref = matmul_a_bt(&dy, &x);
+            let dx_ref = matmul_at_b(&w, &dy);
+
+            let out = World::run(p, NetModel::free(), |comm| {
+                let grid = Grid::new(comm, p, 1).unwrap();
+                let wl = row_shard(&w, p, grid.i);
+                let y = forward(&grid, &wl, &x).unwrap();
+                let (dw, dx) = backward(&grid, &wl, &x, &dy).unwrap();
+                (y, dw, dx)
+            });
+
+            for (r, (y, dw, dx)) in out.iter().enumerate() {
+                assert!(y.approx_eq(&y_ref, 1e-12), "p={p} rank {r} Y");
+                assert!(dx.approx_eq(&dx_ref, 1e-10), "p={p} rank {r} dX");
+                let rows = part_range(d_out, p, r);
+                assert!(
+                    dw.approx_eq(&dw_ref.row_block(rows.start, rows.end), 1e-12),
+                    "p={p} rank {r} dW"
+                );
+            }
         }
     }
 
